@@ -54,37 +54,17 @@ func TestConstructKPrecedence(t *testing.T) {
 	}
 }
 
-// The legacy wrappers are exact synonyms for their Construct spellings.
-func TestConstructWrapperEquivalence(t *testing.T) {
+// WithTargetTime derives K = round(appTime / seconds), rounding half
+// away from zero.
+func TestConstructTargetTimeRounding(t *testing.T) {
 	tr, appTime := constructTrace(t)
-
-	skelA, _, err := perfskel.BuildSkeletonFromTrace(tr, 8, perfskel.SkeletonOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	skelB, _, err := perfskel.Construct(tr, perfskel.WithK(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if skelA.K != skelB.K || skelA.TargetTime != skelB.TargetTime {
-		t.Errorf("BuildSkeletonFromTrace (K=%d, %.4f s) != Construct WithK (K=%d, %.4f s)",
-			skelA.K, skelA.TargetTime, skelB.K, skelB.TargetTime)
-	}
-
 	target := appTime / 2.5 // lands K on a rounding boundary
-	skelC, _, err := perfskel.BuildSkeletonFromTraceForTime(tr, target, perfskel.SkeletonOptions{})
+	skel, _, err := perfskel.Construct(tr, perfskel.WithTargetTime(target))
 	if err != nil {
 		t.Fatal(err)
 	}
-	skelD, _, err := perfskel.Construct(tr, perfskel.WithTargetTime(target))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if skelC.K != skelD.K {
-		t.Errorf("wrapper derived K=%d, Construct derived K=%d", skelC.K, skelD.K)
-	}
-	if skelC.K != 3 {
-		t.Errorf("K = %d at the x.5 boundary, want 3 (round half away from zero)", skelC.K)
+	if skel.K != 3 {
+		t.Errorf("K = %d at the x.5 boundary, want 3 (round half away from zero)", skel.K)
 	}
 }
 

@@ -13,27 +13,35 @@ import (
 // without string matching.
 func TestErrorTaxonomy(t *testing.T) {
 	emptyTr := &perfskel.Trace{NRanks: 1, Events: make([][]perfskel.TraceEvent, 1)}
+	// A real trace, so the scaling-factor cases fail on the factor alone.
+	tr, _, err := perfskel.NewTestbed(1, perfskel.Dedicated()).Trace(1, func(c *perfskel.Comm) { c.Compute(0.01) })
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		err  func() error
 		want error
 	}{
-		{"empty trace", func() error {
-			_, err := perfskel.BuildSignature(emptyTr, 0)
+		{"empty trace, explicit signature options", func() error {
+			_, _, err := perfskel.Construct(emptyTr, perfskel.WithK(4),
+				perfskel.WithSignatureOptions(perfskel.SignatureOptions{}))
 			return err
 		}, perfskel.ErrEmptyTrace},
 		{"construct empty trace", func() error {
 			_, _, err := perfskel.Construct(emptyTr, perfskel.WithK(4))
 			return err
 		}, perfskel.ErrEmptyTrace},
-		{"bad K direct", func() error {
-			sig := &perfskel.Signature{NRanks: 1, AppTime: 1}
-			_, err := perfskel.BuildSkeleton(sig, 0)
+		{"K = 0", func() error {
+			_, _, err := perfskel.Construct(tr, perfskel.WithK(0))
+			return err
+		}, perfskel.ErrBadK},
+		{"negative K", func() error {
+			_, _, err := perfskel.Construct(tr, perfskel.WithK(-2))
 			return err
 		}, perfskel.ErrBadK},
 		{"bad target time", func() error {
-			sig := &perfskel.Signature{NRanks: 1, AppTime: 1}
-			_, err := perfskel.BuildSkeletonForTime(sig, -1)
+			_, _, err := perfskel.Construct(tr, perfskel.WithTargetTime(-1))
 			return err
 		}, perfskel.ErrBadK},
 		{"construct no K", func() error {

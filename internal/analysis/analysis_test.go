@@ -132,6 +132,50 @@ func TestShippedPackagesAreClean(t *testing.T) {
 	}
 }
 
+// TestModulePackagesSkipsNestedModules: a directory below the root with
+// its own go.mod is a separate module and, like testdata, hidden and
+// underscore directories, contributes no packages — as with `go list
+// ./...`.
+func TestModulePackagesSkipsNestedModules(t *testing.T) {
+	root := t.TempDir()
+	files := map[string]string{
+		"go.mod":                 "module example.com/m\n",
+		"a.go":                   "package m\n",
+		"sub/b.go":               "package sub\n",
+		"sub/deep/c.go":          "package deep\n",
+		"nested/go.mod":          "module example.com/nested\n",
+		"nested/d.go":            "package nested\n",
+		"nested/inner/e.go":      "package inner\n",
+		"testdata/f.go":          "package testdata\n",
+		".hidden/g.go":           "package hidden\n",
+		"_skip/h.go":             "package skip\n",
+		"sub/only_test.go":       "package sub\n",
+		"tests/only_test.go":     "package tests\n",
+		"sub/deep/go.mod.backup": "not a module file\n",
+	}
+	for name, body := range files {
+		p := filepath.Join(root, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l, err := NewLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := l.ModulePackages()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"example.com/m", "example.com/m/sub", "example.com/m/sub/deep"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("ModulePackages = %v, want %v", got, want)
+	}
+}
+
 // TestIgnoreDirectives checks that a justified directive suppresses its
 // finding and an unjustified one is itself reported.
 func TestIgnoreDirectives(t *testing.T) {

@@ -2,10 +2,12 @@ package commgraph_test
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"perfskel/internal/analysis"
 	"perfskel/internal/analysis/commgraph"
+	"perfskel/internal/mpi"
 )
 
 // testLoader caches one module-wide loader; building it typechecks the
@@ -150,5 +152,119 @@ func TestEagerSendsDoNotDeadlock(t *testing.T) {
 		t.Error("rendezvous-size exchange not flagged")
 	} else if res.Findings[0].Kind != commgraph.DeadlockSendSend {
 		t.Errorf("want DeadlockSendSend, got %v", res.Findings[0].Kind)
+	}
+}
+
+// pureHelpers are package-level integer helpers the extractor runs
+// concretely when a rank program assigns their result.
+const pureHelpers = `
+func grid2d(n int) (int, int) {
+	px := 1
+	for f := 1; f*f <= n; f++ {
+		if n%f == 0 {
+			px = f
+		}
+	}
+	return px, n / px
+}
+
+func split(n int) (lo, hi int) {
+	lo = n / 3
+	hi = n - lo
+	return
+}
+
+func oddSum(n int) int {
+	s := 0
+	for i := 0; i < 100; i++ {
+		if i%2 == 0 {
+			continue
+		}
+		if i > n {
+			break
+		}
+		s += i
+	}
+	return s
+}
+
+func clearLow(n int) int {
+	n &^= 3
+	return n
+}
+
+func spin(n int) int {
+	for {
+		n++
+	}
+}
+
+func double(c *perfskel.Comm, n int) int {
+	c.Barrier()
+	return 2 * n
+}
+`
+
+func pureProgram(body string) string {
+	return header + "4, func(c *perfskel.Comm) {\n" + body + "\n}" + footer + pureHelpers
+}
+
+// TestPureHelpersRunConcretely pins the concrete helper runner: each
+// helper's result must reach the Allreduce byte count as a constant.
+func TestPureHelpersRunConcretely(t *testing.T) {
+	cases := []struct {
+		name, body string
+		want       int64
+	}{
+		{"tuple-factoriser", "px, py := grid2d(3 * c.Size())\nc.Allreduce(int64(100*px + py))", 304},
+		{"named-bare-return", "lo, hi := split(10)\nc.Allreduce(int64(100*lo + hi))", 307},
+		{"break-continue", "v := oddSum(7)\nc.Allreduce(int64(v))", 16},
+		{"and-not-assign", "v := clearLow(15)\nc.Allreduce(int64(v))", 12},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := machine(t, pureProgram(tc.body))
+			if len(m.Approx) > 0 {
+				t.Fatalf("approximate extraction: %v", m.Approx)
+			}
+			for r, seq := range m.Ranks {
+				if len(seq) != 1 || seq[0].Op == nil || seq[0].Op.Kind != mpi.OpAllreduce {
+					t.Fatalf("rank %d: want a single Allreduce, got %d nodes", r, len(seq))
+				}
+				if op := seq[0].Op; !op.HasBytes || op.Bytes != tc.want {
+					t.Errorf("rank %d: Allreduce bytes = %d (known %v), want %d", r, op.Bytes, op.HasBytes, tc.want)
+				}
+			}
+		})
+	}
+}
+
+// TestPureHelperBudgetIsNeverSilent: a helper that never terminates
+// must stop at the step budget and leave an Approx note.
+func TestPureHelperBudgetIsNeverSilent(t *testing.T) {
+	m := machine(t, pureProgram("v := spin(1)\n_ = v\nc.Barrier()"))
+	found := false
+	for _, note := range m.Approx {
+		if strings.Contains(note, "step budget") {
+			found = true
+		}
+	}
+	if !found {
+		t.Errorf("exhausted step budget left no note: %v", m.Approx)
+	}
+}
+
+// TestPureHelperWithCommIsNotRun: a helper that communicates is
+// inlined for its operations, never run concretely, so its result stays
+// unknown.
+func TestPureHelperWithCommIsNotRun(t *testing.T) {
+	m := machine(t, pureProgram("v := double(c, 3)\nc.Allreduce(int64(v))"))
+	for r, seq := range m.Ranks {
+		if len(seq) != 2 || seq[0].Op == nil || seq[0].Op.Kind != mpi.OpBarrier {
+			t.Fatalf("rank %d: want the helper's Barrier then the Allreduce, got %d nodes", r, len(seq))
+		}
+		if op := seq[1].Op; op == nil || op.Kind != mpi.OpAllreduce || op.HasBytes {
+			t.Errorf("rank %d: Allreduce bytes resolved from a communicating helper", r)
+		}
 	}
 }

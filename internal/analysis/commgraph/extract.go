@@ -523,24 +523,28 @@ func (x *extractor) decl(s *ast.DeclStmt) []Node {
 
 func (x *extractor) assign(s *ast.AssignStmt) []Node {
 	var out []Node
-	for _, r := range s.Rhs {
+	// A pure integer helper call (grid2d-style factorizations) runs
+	// concretely instead of being inlined: it cannot communicate, so
+	// inlining would only re-walk control flow the runner models.
+	var pure [][]int64 // by rhs index; nil when no helper ran
+	for i, r := range s.Rhs {
+		if vals, ok := x.pureCall(s.Tok, r); ok {
+			if pure == nil {
+				pure = make([][]int64, len(s.Rhs))
+			}
+			pure[i] = vals
+			continue
+		}
 		out = append(out, x.exprOps(r)...)
 	}
 	if len(s.Lhs) != len(s.Rhs) {
-		// Tuple assignment from a single call: a pure integer function
-		// (grid2d-style factorizations) evaluates concretely.
-		if len(s.Rhs) == 1 {
-			if call, ok := ast.Unparen(s.Rhs[0]).(*ast.CallExpr); ok {
-				if vals, ok := x.pureCall(call); ok && len(vals) == len(s.Lhs) {
-					for i, l := range s.Lhs {
-						x.bindLhs(l, symexec.Const(vals[i]))
-					}
-					return out
-				}
+		// Tuple assignment from a single call.
+		for i, l := range s.Lhs {
+			v := symexec.Unknown()
+			if pure != nil && len(pure[0]) == len(s.Lhs) {
+				v = symexec.Const(pure[0][i])
 			}
-		}
-		for _, l := range s.Lhs {
-			x.bindLhs(l, symexec.Unknown())
+			x.bindLhs(l, v)
 		}
 		return out
 	}
@@ -573,12 +577,8 @@ func (x *extractor) assign(s *ast.AssignStmt) []Node {
 		switch s.Tok {
 		case token.DEFINE, token.ASSIGN:
 			v := x.env.Eval(s.Rhs[i])
-			if !v.Known {
-				if call, ok := rhs.(*ast.CallExpr); ok {
-					if vals, ok := x.pureCall(call); ok && len(vals) == 1 {
-						v = symexec.Const(vals[0])
-					}
-				}
+			if pure != nil && len(pure[i]) == 1 {
+				v = symexec.Const(pure[i][0])
 			}
 			x.env.Bind(obj, v)
 			x.bindFloat(obj, s.Rhs[i])
@@ -611,24 +611,9 @@ func (x *extractor) opAssignFloat(obj types.Object, tok token.Token, rhs ast.Exp
 	}
 	cur, ok := x.env.LookupFloat(obj)
 	v, vok := x.env.EvalFloat(rhs)
-	if !ok || !vok {
-		x.env.UnbindFloat(obj)
-		return
-	}
-	switch tok {
-	case token.ADD_ASSIGN:
-		x.env.BindFloat(obj, cur+v)
-	case token.SUB_ASSIGN:
-		x.env.BindFloat(obj, cur-v)
-	case token.MUL_ASSIGN:
-		x.env.BindFloat(obj, cur*v)
-	case token.QUO_ASSIGN:
-		if v != 0 {
-			x.env.BindFloat(obj, cur/v)
-		} else {
-			x.env.UnbindFloat(obj)
-		}
-	default:
+	if f, fok := symexec.FloatArith(tok, cur, v); ok && vok && fok {
+		x.env.BindFloat(obj, f)
+	} else {
 		x.env.UnbindFloat(obj)
 	}
 }
@@ -643,47 +628,10 @@ func isFloatObj(obj types.Object) bool {
 
 // opAssign evaluates compound assignments like x += e.
 func (x *extractor) opAssign(obj types.Object, tok token.Token, rhs ast.Expr) symexec.Value {
-	cur, ok := x.env.Lookup(obj)
-	if !ok || !cur.Known {
-		return symexec.Unknown()
-	}
+	cur, _ := x.env.Lookup(obj)
 	v := x.env.Eval(rhs)
-	if !v.Known {
-		return symexec.Unknown()
-	}
-	switch tok {
-	case token.ADD_ASSIGN:
-		return symexec.Const(cur.N + v.N)
-	case token.SUB_ASSIGN:
-		return symexec.Const(cur.N - v.N)
-	case token.MUL_ASSIGN:
-		return symexec.Const(cur.N * v.N)
-	case token.QUO_ASSIGN:
-		if v.N == 0 {
-			return symexec.Unknown()
-		}
-		return symexec.Const(cur.N / v.N)
-	case token.REM_ASSIGN:
-		if v.N == 0 {
-			return symexec.Unknown()
-		}
-		return symexec.Const(cur.N % v.N)
-	case token.XOR_ASSIGN:
-		return symexec.Const(cur.N ^ v.N)
-	case token.AND_ASSIGN:
-		return symexec.Const(cur.N & v.N)
-	case token.OR_ASSIGN:
-		return symexec.Const(cur.N | v.N)
-	case token.SHL_ASSIGN:
-		if v.N < 0 || v.N > 62 {
-			return symexec.Unknown()
-		}
-		return symexec.Const(cur.N << uint(v.N))
-	case token.SHR_ASSIGN:
-		if v.N < 0 || v.N > 62 {
-			return symexec.Unknown()
-		}
-		return symexec.Const(cur.N >> uint(v.N))
+	if n, ok := symexec.Arith(tok, cur.N, v.N); ok && cur.Known && v.Known {
+		return symexec.Const(n)
 	}
 	return symexec.Unknown()
 }

@@ -2,62 +2,63 @@ package commgraph
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/token"
 	"go/types"
+
+	"perfskel/internal/analysis/symexec"
 )
 
-// pureBudget bounds the total statement steps a concrete interpretation
-// may take, across nested calls.
+// pureBudget bounds the statement steps a concrete interpretation may
+// take.
 const pureBudget = 1 << 16
 
-// pureMaxDepth bounds nested pure-call evaluation.
-const pureMaxDepth = 4
-
-// pureCall concretely interprets a call to a pure same-package integer
+// pureCall concretely interprets rhs, the right-hand side of a plain
+// assignment (:= or =), when it calls a pure same-package integer
 // function whose arguments are all known under the current environment.
 // This covers helper computations symexec's affine-loop recognition
 // cannot fold — the grid2d-style factorization loop
 // `for f := 1; f*f <= size; f++` — by running them to completion under
-// a bounded step budget. Anything the interpreter does not model
-// (communication, non-integer state, range loops, calls it cannot
-// resolve) makes it decline rather than approximate.
-func (x *extractor) pureCall(call *ast.CallExpr) ([]int64, bool) {
+// a bounded step budget. Anything the runner does not model
+// (communication, non-integer state, writes outside the helper, range
+// loops, nested calls) makes it decline rather than approximate;
+// exhausting the budget also leaves an Approx note.
+func (x *extractor) pureCall(tok token.Token, rhs ast.Expr) ([]int64, bool) {
+	call, ok := ast.Unparen(rhs).(*ast.CallExpr)
+	if !ok || (tok != token.DEFINE && tok != token.ASSIGN) {
+		return nil, false
+	}
 	fd, _, params := x.calleeDecl(call)
 	if fd == nil || fd.Type.Results == nil || len(params) != len(call.Args) {
 		return nil, false
 	}
-	if hasComm(x.d.src.Info, fd.Body) {
+	info := x.d.src.Info
+	if hasComm(info, fd.Body) {
 		return nil, false
 	}
-	budget := pureBudget
-	pi := &pureInterp{
-		info:   x.d.src.Info,
-		funcs:  x.d.funcs,
-		vars:   make(map[types.Object]int64),
-		budget: &budget,
-	}
+	pr := &pureRun{env: symexec.NewEnv(info, x.env.Rank, x.env.Size), fn: fd, budget: pureBudget}
 	for i, p := range params {
 		v, ok := x.env.EvalInt(call.Args[i])
-		if !ok {
+		obj := info.Defs[p]
+		if !ok || obj == nil {
 			return nil, false
 		}
-		obj := x.d.src.Info.Defs[p]
-		if obj == nil {
-			return nil, false
-		}
-		pi.vars[obj] = v
+		pr.env.Bind(obj, symexec.Const(v))
 	}
-	return pi.invoke(fd)
+	res, ok := pr.invoke()
+	if pr.budget < 0 {
+		x.note("call at %s exceeds the pure-helper step budget (%d); its results are unknown", x.pos(call.Pos()), pureBudget)
+	}
+	return res, ok
 }
 
-// pureInterp is a concrete interpreter over int64 variables.
-type pureInterp struct {
-	info   *types.Info
-	funcs  map[types.Object]*ast.FuncDecl
-	vars   map[types.Object]int64
-	budget *int
-	depth  int
+// pureRun executes one pure helper's statements over a symexec
+// environment in which every variable is bound to a known constant, so
+// expressions and conditions evaluate through the environment. Only the
+// control flow lives here.
+type pureRun struct {
+	env    *symexec.Env
+	fn     *ast.FuncDecl
+	budget int
 	named  []types.Object // named result objects, for bare returns
 	ret    []int64
 }
@@ -72,39 +73,37 @@ const (
 	ctrlContinue
 )
 
-// invoke runs fd's body and returns its integer results. All results
+// invoke runs the helper's body and returns its integer results. All results
 // must be plain integers; named results start at their zero value.
-func (pi *pureInterp) invoke(fd *ast.FuncDecl) ([]int64, bool) {
-	nresults := 0
+func (pr *pureRun) invoke() ([]int64, bool) {
+	fd, info := pr.fn, pr.env.Info
 	for _, f := range fd.Type.Results.List {
-		if !isIntType(pi.info.TypeOf(f.Type)) {
+		if !isIntType(info.TypeOf(f.Type)) {
 			return nil, false
 		}
 		if len(f.Names) == 0 {
-			nresults++
-			pi.named = append(pi.named, nil)
+			pr.named = append(pr.named, nil)
 			continue
 		}
 		for _, name := range f.Names {
-			obj := pi.info.Defs[name]
+			obj := info.Defs[name]
 			if obj == nil {
 				return nil, false
 			}
-			pi.vars[obj] = 0
-			pi.named = append(pi.named, obj)
-			nresults++
+			pr.env.Bind(obj, symexec.Const(0))
+			pr.named = append(pr.named, obj)
 		}
 	}
-	c, ok := pi.stmts(fd.Body.List)
-	if !ok || c != ctrlReturn || len(pi.ret) != nresults {
+	c, ok := pr.stmts(fd.Body.List)
+	if !ok || c != ctrlReturn || len(pr.ret) != len(pr.named) {
 		return nil, false
 	}
-	return pi.ret, true
+	return pr.ret, true
 }
 
-func (pi *pureInterp) stmts(list []ast.Stmt) (ctrl, bool) {
+func (pr *pureRun) stmts(list []ast.Stmt) (ctrl, bool) {
 	for _, st := range list {
-		c, ok := pi.stmt(st)
+		c, ok := pr.stmt(st)
 		if !ok || c != ctrlNone {
 			return c, ok
 		}
@@ -112,33 +111,29 @@ func (pi *pureInterp) stmts(list []ast.Stmt) (ctrl, bool) {
 	return ctrlNone, true
 }
 
-func (pi *pureInterp) stmt(st ast.Stmt) (ctrl, bool) {
-	*pi.budget--
-	if *pi.budget < 0 {
+// step charges one unit of the budget and reports whether any is left.
+func (pr *pureRun) step() bool {
+	pr.budget--
+	return pr.budget >= 0
+}
+
+func (pr *pureRun) stmt(st ast.Stmt) (ctrl, bool) {
+	if !pr.step() {
 		return ctrlNone, false
 	}
 	switch s := st.(type) {
 	case nil, *ast.EmptyStmt:
 		return ctrlNone, true
 	case *ast.BlockStmt:
-		return pi.stmts(s.List)
+		return pr.stmts(s.List)
 	case *ast.AssignStmt:
-		return ctrlNone, pi.assign(s)
+		return ctrlNone, pr.assign(s)
 	case *ast.IncDecStmt:
-		obj := pi.lhsObj(s.X)
-		if obj == nil {
-			return ctrlNone, false
+		tok := token.ADD_ASSIGN
+		if s.Tok == token.DEC {
+			tok = token.SUB_ASSIGN
 		}
-		v, ok := pi.vars[obj]
-		if !ok {
-			return ctrlNone, false
-		}
-		if s.Tok == token.INC {
-			pi.vars[obj] = v + 1
-		} else {
-			pi.vars[obj] = v - 1
-		}
-		return ctrlNone, true
+		return ctrlNone, pr.store(s.X, tok, 1)
 	case *ast.DeclStmt:
 		gd, ok := s.Decl.(*ast.GenDecl)
 		if !ok || gd.Tok != token.VAR {
@@ -146,75 +141,67 @@ func (pi *pureInterp) stmt(st ast.Stmt) (ctrl, bool) {
 		}
 		for _, spec := range gd.Specs {
 			vs, ok := spec.(*ast.ValueSpec)
-			if !ok {
+			if !ok || (len(vs.Values) != 0 && len(vs.Values) != len(vs.Names)) {
 				return ctrlNone, false
 			}
 			for i, name := range vs.Names {
-				obj := pi.info.Defs[name]
-				if obj == nil || !isIntType(obj.Type()) {
-					return ctrlNone, false
-				}
 				v := int64(0)
-				if len(vs.Values) == len(vs.Names) {
-					var ok bool
-					if v, ok = pi.eval(vs.Values[i]); !ok {
+				if len(vs.Values) != 0 {
+					if v, ok = pr.env.EvalInt(vs.Values[i]); !ok {
 						return ctrlNone, false
 					}
-				} else if len(vs.Values) != 0 {
+				}
+				if !pr.store(name, token.DEFINE, v) {
 					return ctrlNone, false
 				}
-				pi.vars[obj] = v
 			}
 		}
 		return ctrlNone, true
 	case *ast.ReturnStmt:
 		if len(s.Results) == 0 {
-			for _, obj := range pi.named {
-				if obj == nil {
+			for _, obj := range pr.named {
+				v, ok := pr.env.Lookup(obj)
+				if obj == nil || !ok {
 					return ctrlNone, false
 				}
-				pi.ret = append(pi.ret, pi.vars[obj])
+				pr.ret = append(pr.ret, v.N)
 			}
 			return ctrlReturn, true
 		}
 		for _, r := range s.Results {
-			v, ok := pi.eval(r)
+			v, ok := pr.env.EvalInt(r)
 			if !ok {
 				return ctrlNone, false
 			}
-			pi.ret = append(pi.ret, v)
+			pr.ret = append(pr.ret, v)
 		}
 		return ctrlReturn, true
 	case *ast.IfStmt:
 		if s.Init != nil {
-			if c, ok := pi.stmt(s.Init); !ok || c != ctrlNone {
+			if c, ok := pr.stmt(s.Init); !ok || c != ctrlNone {
 				return c, ok
 			}
 		}
-		cond, ok := pi.evalBool(s.Cond)
+		cond, ok := pr.env.EvalBool(s.Cond)
 		if !ok {
 			return ctrlNone, false
 		}
 		if cond {
-			return pi.stmts(s.Body.List)
+			return pr.stmts(s.Body.List)
 		}
 		if s.Else != nil {
-			return pi.stmt(s.Else)
+			return pr.stmt(s.Else)
 		}
 		return ctrlNone, true
 	case *ast.ForStmt:
 		if s.Init != nil {
-			if c, ok := pi.stmt(s.Init); !ok || c != ctrlNone {
+			if c, ok := pr.stmt(s.Init); !ok || c != ctrlNone {
 				return c, ok
 			}
 		}
-		for {
-			*pi.budget--
-			if *pi.budget < 0 {
-				return ctrlNone, false
-			}
+		for pr.step() {
 			if s.Cond != nil {
-				cond, ok := pi.evalBool(s.Cond)
+				cond, ok := pr.env.EvalBool(s.Cond)
 				if !ok {
 					return ctrlNone, false
 				}
@@ -222,7 +209,7 @@ func (pi *pureInterp) stmt(st ast.Stmt) (ctrl, bool) {
 					return ctrlNone, true
 				}
 			}
-			c, ok := pi.stmts(s.Body.List)
+			c, ok := pr.stmts(s.Body.List)
 			if !ok {
 				return ctrlNone, false
 			}
@@ -233,11 +220,12 @@ func (pi *pureInterp) stmt(st ast.Stmt) (ctrl, bool) {
 				return ctrlNone, true
 			}
 			if s.Post != nil {
-				if c, ok := pi.stmt(s.Post); !ok || c != ctrlNone {
+				if c, ok := pr.stmt(s.Post); !ok || c != ctrlNone {
 					return c, ok
 				}
 			}
 		}
+		return ctrlNone, false
 	case *ast.BranchStmt:
 		if s.Label != nil {
 			return ctrlNone, false
@@ -248,19 +236,19 @@ func (pi *pureInterp) stmt(st ast.Stmt) (ctrl, bool) {
 		case token.CONTINUE:
 			return ctrlContinue, true
 		}
-		return ctrlNone, false
 	}
 	return ctrlNone, false
 }
 
-func (pi *pureInterp) assign(s *ast.AssignStmt) bool {
+// assign evaluates every right-hand side before storing any (tuple
+// semantics).
+func (pr *pureRun) assign(s *ast.AssignStmt) bool {
 	if len(s.Lhs) != len(s.Rhs) {
 		return false
 	}
-	// Evaluate all right-hand sides before binding (tuple semantics).
 	vals := make([]int64, len(s.Rhs))
 	for i, r := range s.Rhs {
-		v, ok := pi.eval(r)
+		v, ok := pr.env.EvalInt(r)
 		if !ok {
 			return false
 		}
@@ -270,244 +258,39 @@ func (pi *pureInterp) assign(s *ast.AssignStmt) bool {
 		if id, ok := ast.Unparen(l).(*ast.Ident); ok && id.Name == "_" {
 			continue
 		}
-		obj := pi.lhsObj(l)
-		if obj == nil || !isIntType(obj.Type()) {
+		if !pr.store(l, s.Tok, vals[i]) {
 			return false
-		}
-		switch s.Tok {
-		case token.DEFINE, token.ASSIGN:
-			pi.vars[obj] = vals[i]
-		default:
-			cur, ok := pi.vars[obj]
-			if !ok {
-				return false
-			}
-			nv, ok := intBinop(compoundOp(s.Tok), cur, vals[i])
-			if !ok {
-				return false
-			}
-			pi.vars[obj] = nv
 		}
 	}
 	return true
 }
 
-func (pi *pureInterp) lhsObj(l ast.Expr) types.Object {
+// store applies an assignment of v to the integer variable l, which
+// must be declared inside the helper: a plain binding for := and =,
+// symexec.Arith for compound tokens.
+func (pr *pureRun) store(l ast.Expr, tok token.Token, v int64) bool {
 	id, ok := ast.Unparen(l).(*ast.Ident)
 	if !ok {
-		return nil
+		return false
 	}
-	if obj := pi.info.Defs[id]; obj != nil {
-		return obj
+	obj := pr.env.Info.Defs[id]
+	if obj == nil {
+		obj = pr.env.Info.Uses[id]
 	}
-	return pi.info.Uses[id]
-}
-
-func (pi *pureInterp) eval(x ast.Expr) (int64, bool) {
-	if tv, ok := pi.info.Types[x]; ok && tv.Value != nil {
-		if v := constant.ToInt(tv.Value); v.Kind() == constant.Int {
-			if n, exact := constant.Int64Val(v); exact {
-				return n, true
-			}
-		}
-		return 0, false
+	if obj == nil || !isIntType(obj.Type()) || obj.Pos() < pr.fn.Pos() || obj.Pos() >= pr.fn.End() {
+		return false
 	}
-	switch s := ast.Unparen(x).(type) {
-	case *ast.Ident:
-		if obj := pi.info.Uses[s]; obj != nil {
-			if v, ok := pi.vars[obj]; ok {
-				return v, true
-			}
-		}
-	case *ast.BinaryExpr:
-		xv, xok := pi.eval(s.X)
-		yv, yok := pi.eval(s.Y)
-		if xok && yok {
-			return intBinop(s.Op, xv, yv)
-		}
-	case *ast.UnaryExpr:
-		if v, ok := pi.eval(s.X); ok {
-			switch s.Op {
-			case token.SUB:
-				return -v, true
-			case token.ADD:
-				return v, true
-			case token.XOR:
-				return ^v, true
-			}
-		}
-	case *ast.CallExpr:
-		// Integer conversions are transparent.
-		if len(s.Args) == 1 {
-			if tv, ok := pi.info.Types[s.Fun]; ok && tv.IsType() {
-				return pi.eval(s.Args[0])
-			}
-		}
-		// Nested single-result pure calls, depth-bounded.
-		if pi.depth >= pureMaxDepth {
-			return 0, false
-		}
-		id, ok := ast.Unparen(s.Fun).(*ast.Ident)
+	if tok != token.DEFINE && tok != token.ASSIGN {
+		cur, ok := pr.env.Lookup(obj)
 		if !ok {
-			return 0, false
+			return false
 		}
-		fd := pi.funcs[pi.info.Uses[id]]
-		if fd == nil || fd.Body == nil || fd.Type.Results == nil {
-			return 0, false
-		}
-		params := paramIdents(fd.Type)
-		if len(params) != len(s.Args) {
-			return 0, false
-		}
-		child := &pureInterp{
-			info:   pi.info,
-			funcs:  pi.funcs,
-			vars:   make(map[types.Object]int64),
-			budget: pi.budget,
-			depth:  pi.depth + 1,
-		}
-		for i, p := range params {
-			v, ok := pi.eval(s.Args[i])
-			if !ok {
-				return 0, false
-			}
-			obj := pi.info.Defs[p]
-			if obj == nil {
-				return 0, false
-			}
-			child.vars[obj] = v
-		}
-		res, ok := child.invoke(fd)
-		if !ok || len(res) != 1 {
-			return 0, false
-		}
-		return res[0], true
-	}
-	return 0, false
-}
-
-func (pi *pureInterp) evalBool(x ast.Expr) (bool, bool) {
-	if tv, ok := pi.info.Types[x]; ok && tv.Value != nil && tv.Value.Kind() == constant.Bool {
-		return constant.BoolVal(tv.Value), true
-	}
-	switch s := ast.Unparen(x).(type) {
-	case *ast.UnaryExpr:
-		if s.Op == token.NOT {
-			v, ok := pi.evalBool(s.X)
-			return !v, ok
-		}
-	case *ast.BinaryExpr:
-		switch s.Op {
-		case token.LAND:
-			l, ok := pi.evalBool(s.X)
-			if !ok {
-				return false, false
-			}
-			if !l {
-				return false, true
-			}
-			return pi.evalBool(s.Y)
-		case token.LOR:
-			l, ok := pi.evalBool(s.X)
-			if !ok {
-				return false, false
-			}
-			if l {
-				return true, true
-			}
-			return pi.evalBool(s.Y)
-		case token.EQL, token.NEQ, token.LSS, token.LEQ, token.GTR, token.GEQ:
-			xv, xok := pi.eval(s.X)
-			yv, yok := pi.eval(s.Y)
-			if !xok || !yok {
-				return false, false
-			}
-			switch s.Op {
-			case token.EQL:
-				return xv == yv, true
-			case token.NEQ:
-				return xv != yv, true
-			case token.LSS:
-				return xv < yv, true
-			case token.LEQ:
-				return xv <= yv, true
-			case token.GTR:
-				return xv > yv, true
-			default:
-				return xv >= yv, true
-			}
+		if v, ok = symexec.Arith(tok, cur.N, v); !ok {
+			return false
 		}
 	}
-	return false, false
-}
-
-// compoundOp maps a compound-assignment token to its binary operator.
-func compoundOp(tok token.Token) token.Token {
-	switch tok {
-	case token.ADD_ASSIGN:
-		return token.ADD
-	case token.SUB_ASSIGN:
-		return token.SUB
-	case token.MUL_ASSIGN:
-		return token.MUL
-	case token.QUO_ASSIGN:
-		return token.QUO
-	case token.REM_ASSIGN:
-		return token.REM
-	case token.AND_ASSIGN:
-		return token.AND
-	case token.OR_ASSIGN:
-		return token.OR
-	case token.XOR_ASSIGN:
-		return token.XOR
-	case token.SHL_ASSIGN:
-		return token.SHL
-	case token.SHR_ASSIGN:
-		return token.SHR
-	case token.AND_NOT_ASSIGN:
-		return token.AND_NOT
-	}
-	return token.ILLEGAL
-}
-
-func intBinop(op token.Token, x, y int64) (int64, bool) {
-	switch op {
-	case token.ADD:
-		return x + y, true
-	case token.SUB:
-		return x - y, true
-	case token.MUL:
-		return x * y, true
-	case token.QUO:
-		if y == 0 {
-			return 0, false
-		}
-		return x / y, true
-	case token.REM:
-		if y == 0 {
-			return 0, false
-		}
-		return x % y, true
-	case token.AND:
-		return x & y, true
-	case token.OR:
-		return x | y, true
-	case token.XOR:
-		return x ^ y, true
-	case token.AND_NOT:
-		return x &^ y, true
-	case token.SHL:
-		if y < 0 || y > 62 {
-			return 0, false
-		}
-		return x << uint(y), true
-	case token.SHR:
-		if y < 0 || y > 62 {
-			return 0, false
-		}
-		return x >> uint(y), true
-	}
-	return 0, false
+	pr.env.Bind(obj, symexec.Const(v))
+	return true
 }
 
 func isIntType(t types.Type) bool {

@@ -24,14 +24,19 @@ func canonNodes(seq []Node) []signature.CanonNode {
 	var out []signature.CanonNode
 	for _, nd := range seq {
 		if nd.Op != nil {
-			op := signature.CanonOp{
-				Kind: nd.Op.Kind, Sub: nd.Op.Sub, Peer: nd.Op.Peer, Peer2: nd.Op.Peer2,
-				Tag: nd.Op.Tag, Bytes: nd.Op.Bytes, Work: nd.Op.Work,
-			}
+			op := nd.Op.Canon()
 			out = append(out, signature.CanonNode{Op: &op})
 			continue
 		}
 		out = append(out, signature.CanonNode{Count: nd.Count, Body: canonNodes(nd.Body)})
 	}
 	return out
+}
+
+// Canon maps the op onto its canonical signature form.
+func (o *Op) Canon() signature.CanonOp {
+	return signature.CanonOp{
+		Kind: o.Kind, Sub: o.Sub, Peer: o.Peer, Peer2: o.Peer2,
+		Tag: o.Tag, Bytes: o.Bytes, Work: o.Work,
+	}
 }

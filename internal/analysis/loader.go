@@ -266,7 +266,8 @@ func (l *Loader) LoadFile(path string) (*Package, error) {
 
 // ModulePackages returns the import paths of every package in the
 // module, in sorted order. testdata, hidden and underscore-prefixed
-// directories are skipped, mirroring the go tool.
+// directories are skipped, and so is every nested module (a directory
+// below the root holding its own go.mod), mirroring `go list ./...`.
 func (l *Loader) ModulePackages() ([]string, error) {
 	var paths []string
 	err := filepath.WalkDir(l.root, func(p string, d os.DirEntry, err error) error {
@@ -275,7 +276,13 @@ func (l *Loader) ModulePackages() ([]string, error) {
 		}
 		if d.IsDir() {
 			name := d.Name()
-			if p != l.root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			if p == l.root {
+				return nil
+			}
+			if name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(p, "go.mod")); err == nil {
 				return filepath.SkipDir
 			}
 			return nil

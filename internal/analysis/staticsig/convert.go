@@ -149,7 +149,7 @@ func (c *converted) note(op *commgraph.Op, cl *signature.Cluster, fset *token.Fi
 				fset.Position(op.Pos), op.Work))
 		c.computePlaceholders = append(c.computePlaceholders, cl.ID)
 	case op.Kind != mpi.OpCompute && !op.HasBytes && kindCarriesBytes(op.Kind):
-		key := signature.CanonKey(signature.NormalizeOp(canonOp(op)))
+		key := signature.CanonKey(signature.NormalizeOp(op.Canon()))
 		c.placeholderKeys[key] = true
 		c.placeholders = append(c.placeholders,
 			fmt.Sprintf("%v at %s: message volume unresolved; bytes excluded from cross-validation",
@@ -168,13 +168,6 @@ func kindCarriesBytes(k mpi.Op) bool {
 		return true
 	}
 	return false
-}
-
-func canonOp(op *commgraph.Op) signature.CanonOp {
-	return signature.CanonOp{
-		Kind: op.Kind, Sub: op.Sub, Peer: op.Peer, Peer2: op.Peer2, Tag: op.Tag,
-		Bytes: op.Bytes, Work: op.Work,
-	}
 }
 
 // opDuration estimates one operation's dedicated duration: compute ops

@@ -33,6 +33,7 @@ import (
 	"go/format"
 	"go/types"
 	"io"
+	"path/filepath"
 	"sort"
 	"sync"
 
@@ -126,10 +127,12 @@ func Extract(src commgraph.Source, app string) (*Parametric, error) {
 	return p, nil
 }
 
-// hashSource content-addresses the package: a SHA-256 over the
-// formatted rendering of every file, in file order. Formatting from
-// the AST makes the hash independent of load path and byte-identical
-// for byte-identical source.
+// hashSource content-addresses the package: a SHA-256 over each file's
+// base name and formatted rendering, in name order. A package's files
+// share one directory, so base names identify them; hashing neither
+// the directory nor the raw bytes makes the hash independent of where
+// the source is checked out and byte-identical for byte-identical
+// source.
 func hashSource(src commgraph.Source) (string, error) {
 	type file struct {
 		name string
@@ -137,7 +140,7 @@ func hashSource(src commgraph.Source) (string, error) {
 	}
 	files := make([]file, 0, len(src.Files))
 	for _, f := range src.Files {
-		files = append(files, file{src.Fset.Position(f.Pos()).Filename, f})
+		files = append(files, file{filepath.Base(src.Fset.Position(f.Pos()).Filename), f})
 	}
 	sort.Slice(files, func(i, j int) bool { return files[i].name < files[j].name })
 	h := sha256.New()

@@ -1,6 +1,8 @@
 package staticsig
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 
 	"perfskel/internal/analysis"
@@ -39,5 +41,68 @@ func TestExtractAllBenchmarks(t *testing.T) {
 		t.Logf("%s: %d events, %d clusters, %d leaves, apptime %.3fs, params %v, placeholders %d",
 			name, inst.Sig.TraceEvents, len(inst.Sig.Clusters), inst.Sig.Len(), inst.Sig.AppTime,
 			inst.Params, len(inst.Placeholders))
+	}
+}
+
+// ringSource is a self-contained rank program: its own Comm type
+// stands in for the runtime's, so the package loads without the module.
+const ringSource = `package ring
+
+type Comm struct{ rank, size int }
+
+func (c *Comm) Rank() int                  { return c.rank }
+func (c *Comm) Size() int                  { return c.size }
+func (c *Comm) Send(dst, tag int, n int64) {}
+func (c *Comm) Recv(src, tag int)          {}
+
+func Ring(class string) func(c *Comm) {
+	return func(c *Comm) {
+		c.Send((c.Rank()+1)%c.Size(), 0, 64)
+		c.Recv((c.Rank()+c.Size()-1)%c.Size(), 0)
+	}
+}
+`
+
+// TestKeyIndependentOfCheckoutPath: two checkouts of byte-identical
+// source in differently named directories must content-address to the
+// same instance key (the campaign app ID, cache address and service
+// synthesis key all derive from it).
+func TestKeyIndependentOfCheckoutPath(t *testing.T) {
+	key := func(dir string) string {
+		for name, body := range map[string]string{
+			"go.mod":       "module example.com/ring\n",
+			"ring/ring.go": ringSource,
+		} {
+			p := filepath.Join(dir, filepath.FromSlash(name))
+			if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		loader, err := analysis.NewLoader(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkg, err := loader.LoadDir(filepath.Join(dir, "ring"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		par, err := Extract(commgraph.Source{Fset: pkg.Fset, Files: pkg.Files, Info: pkg.Info}, "Ring")
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst, err := par.Instantiate(4, "S")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return inst.Key
+	}
+	tmp := t.TempDir()
+	a := key(filepath.Join(tmp, "checkout-a"))
+	b := key(filepath.Join(tmp, "elsewhere", "second-checkout"))
+	if a != b {
+		t.Errorf("identical source under two paths keyed differently:\n  %s\n  %s", a, b)
 	}
 }

@@ -310,46 +310,88 @@ func (e *Env) evalBinary(s *ast.BinaryExpr) Value {
 	if !x.Known || !y.Known {
 		return Unknown()
 	}
-	var n int64
-	switch s.Op {
-	case token.ADD:
-		n = x.N + y.N
-	case token.SUB:
-		n = x.N - y.N
-	case token.MUL:
-		n = x.N * y.N
-	case token.QUO:
-		if y.N == 0 {
-			return Unknown()
-		}
-		n = x.N / y.N
-	case token.REM:
-		if y.N == 0 {
-			return Unknown()
-		}
-		n = x.N % y.N
-	case token.AND:
-		n = x.N & y.N
-	case token.OR:
-		n = x.N | y.N
-	case token.XOR:
-		n = x.N ^ y.N
-	case token.AND_NOT:
-		n = x.N &^ y.N
-	case token.SHL:
-		if y.N < 0 || y.N > 62 {
-			return Unknown()
-		}
-		n = x.N << uint(y.N)
-	case token.SHR:
-		if y.N < 0 || y.N > 62 {
-			return Unknown()
-		}
-		n = x.N >> uint(y.N)
-	default:
+	n, ok := Arith(s.Op, x.N, y.N)
+	if !ok {
 		return Unknown()
 	}
 	return Value{Known: true, N: n, Sym: binSym(s.Op.String(), x, y)}
+}
+
+// binaryOp maps a compound-assignment token (token.ADD_ASSIGN through
+// token.AND_NOT_ASSIGN) to its binary operator; go/token declares the
+// two runs in the same order. Other tokens are returned unchanged.
+func binaryOp(op token.Token) token.Token {
+	if op >= token.ADD_ASSIGN && op <= token.AND_NOT_ASSIGN {
+		return op - token.ADD_ASSIGN + token.ADD
+	}
+	return op
+}
+
+// Arith is the single definition of the analysis stack's integer
+// operators: it applies op to x and y with Go's int64 semantics. op is
+// a binary operator token (token.ADD through token.AND_NOT) or its
+// compound-assignment form (token.ADD_ASSIGN through
+// token.AND_NOT_ASSIGN). It declines (ok == false) on division or
+// remainder by zero, on shift counts outside [0, 62], and on any other
+// token.
+func Arith(op token.Token, x, y int64) (int64, bool) {
+	switch binaryOp(op) {
+	case token.ADD:
+		return x + y, true
+	case token.SUB:
+		return x - y, true
+	case token.MUL:
+		return x * y, true
+	case token.QUO:
+		if y == 0 {
+			return 0, false
+		}
+		return x / y, true
+	case token.REM:
+		if y == 0 {
+			return 0, false
+		}
+		return x % y, true
+	case token.AND:
+		return x & y, true
+	case token.OR:
+		return x | y, true
+	case token.XOR:
+		return x ^ y, true
+	case token.AND_NOT:
+		return x &^ y, true
+	case token.SHL:
+		if y < 0 || y > 62 {
+			return 0, false
+		}
+		return x << uint(y), true
+	case token.SHR:
+		if y < 0 || y > 62 {
+			return 0, false
+		}
+		return x >> uint(y), true
+	}
+	return 0, false
+}
+
+// FloatArith is Arith for float64 compute-work values: +, -, * and /
+// (or their compound forms), declining on division by zero and on any
+// other token.
+func FloatArith(op token.Token, x, y float64) (float64, bool) {
+	switch binaryOp(op) {
+	case token.ADD:
+		return x + y, true
+	case token.SUB:
+		return x - y, true
+	case token.MUL:
+		return x * y, true
+	case token.QUO:
+		if y == 0 {
+			return 0, false
+		}
+		return x / y, true
+	}
+	return 0, false
 }
 
 // EvalInt evaluates x and returns its concrete value when known.
@@ -402,21 +444,12 @@ func (e *Env) EvalFloat(x ast.Expr) (float64, bool) {
 	case *ast.BinaryExpr:
 		xf, xok := e.EvalFloat(s.X)
 		yf, yok := e.EvalFloat(s.Y)
-		if xok && yok {
-			switch s.Op {
-			case token.ADD:
-				return xf + yf, true
-			case token.SUB:
-				return xf - yf, true
-			case token.MUL:
-				return xf * yf, true
-			case token.QUO:
-				// Note: this is float division even when both operands
-				// came from integers, so callers must only use EvalFloat
-				// on float-typed expressions (compute-work arguments).
-				if isFloat(e.Info.TypeOf(x)) && yf != 0 {
-					return xf / yf, true
-				}
+		// Division is float division even when both operands came
+		// from integers, so it applies only to float-typed expressions
+		// (compute-work arguments).
+		if xok && yok && (s.Op != token.QUO || isFloat(e.Info.TypeOf(x))) {
+			if f, ok := FloatArith(s.Op, xf, yf); ok {
+				return f, true
 			}
 		}
 	}

@@ -145,3 +145,74 @@ func f(n int) {
 		t.Error("loop with an unbound limit reported as resolvable")
 	}
 }
+
+// TestArith pins the single definition of integer operators: every
+// binary token and its compound-assignment form agree, and division or
+// remainder by zero and out-of-range shift counts decline.
+func TestArith(t *testing.T) {
+	cases := []struct {
+		op, compound token.Token
+		x, y         int64
+		want         int64
+		ok           bool
+	}{
+		{token.ADD, token.ADD_ASSIGN, 7, 3, 10, true},
+		{token.SUB, token.SUB_ASSIGN, 7, 3, 4, true},
+		{token.MUL, token.MUL_ASSIGN, 7, -3, -21, true},
+		{token.QUO, token.QUO_ASSIGN, -7, 2, -3, true},
+		{token.QUO, token.QUO_ASSIGN, 7, 0, 0, false},
+		{token.REM, token.REM_ASSIGN, -7, 3, -1, true},
+		{token.REM, token.REM_ASSIGN, 7, 0, 0, false},
+		{token.AND, token.AND_ASSIGN, 12, 10, 8, true},
+		{token.OR, token.OR_ASSIGN, 12, 10, 14, true},
+		{token.XOR, token.XOR_ASSIGN, 12, 10, 6, true},
+		{token.AND_NOT, token.AND_NOT_ASSIGN, 15, 3, 12, true},
+		{token.SHL, token.SHL_ASSIGN, 3, 4, 48, true},
+		{token.SHL, token.SHL_ASSIGN, 1, 62, 1 << 62, true},
+		{token.SHL, token.SHL_ASSIGN, 1, 63, 0, false},
+		{token.SHL, token.SHL_ASSIGN, 1, -1, 0, false},
+		{token.SHR, token.SHR_ASSIGN, -48, 4, -3, true},
+		{token.SHR, token.SHR_ASSIGN, 8, 63, 0, false},
+		{token.SHR, token.SHR_ASSIGN, 8, -1, 0, false},
+	}
+	for _, tc := range cases {
+		for _, op := range []token.Token{tc.op, tc.compound} {
+			got, ok := symexec.Arith(op, tc.x, tc.y)
+			if ok != tc.ok || (ok && got != tc.want) {
+				t.Errorf("Arith(%s, %d, %d) = %d, %v; want %d, %v", op, tc.x, tc.y, got, ok, tc.want, tc.ok)
+			}
+		}
+	}
+	for _, op := range []token.Token{token.LSS, token.EQL, token.LAND, token.ASSIGN, token.DEFINE, token.INC, token.ILLEGAL} {
+		if _, ok := symexec.Arith(op, 1, 1); ok {
+			t.Errorf("Arith accepted non-arithmetic token %s", op)
+		}
+	}
+}
+
+// TestFloatArith covers the float compute-work operators and their
+// compound forms; float division by zero declines, bit operators are
+// not float operators.
+func TestFloatArith(t *testing.T) {
+	cases := []struct {
+		op, compound token.Token
+		x, y, want   float64
+		ok           bool
+	}{
+		{token.ADD, token.ADD_ASSIGN, 1.5, 2, 3.5, true},
+		{token.SUB, token.SUB_ASSIGN, 1.5, 2, -0.5, true},
+		{token.MUL, token.MUL_ASSIGN, 1.5, 2, 3, true},
+		{token.QUO, token.QUO_ASSIGN, 3, 4, 0.75, true},
+		{token.QUO, token.QUO_ASSIGN, 3, 0, 0, false},
+		{token.REM, token.REM_ASSIGN, 3, 2, 0, false},
+		{token.SHL, token.SHL_ASSIGN, 3, 2, 0, false},
+	}
+	for _, tc := range cases {
+		for _, op := range []token.Token{tc.op, tc.compound} {
+			got, ok := symexec.FloatArith(op, tc.x, tc.y)
+			if ok != tc.ok || (ok && got != tc.want) {
+				t.Errorf("FloatArith(%s, %g, %g) = %g, %v; want %g, %v", op, tc.x, tc.y, got, ok, tc.want, tc.ok)
+			}
+		}
+	}
+}

@@ -29,9 +29,10 @@
 //	t, _ := shared.RunSkeleton(skel)
 //	predicted := perfskel.PredictTime(appTime, ded, t)
 //
-// Construct consolidates the staged builders (BuildSignature,
-// BuildSkeleton, ...) behind functional options; those remain as thin
-// wrappers. For sweeps over many applications, scenarios and scaling
+// Construct is the one skeleton builder; functional options select the
+// scaling factor (WithK, WithTargetTime), the clustering
+// (WithSignatureOptions), the skeleton options (WithSkeletonOptions)
+// and trace-free static synthesis (WithStaticSource). For sweeps over many applications, scenarios and scaling
 // factors, NewCampaign runs the whole grid concurrently with
 // content-addressed caching of shared baselines.
 package perfskel
@@ -221,33 +222,6 @@ func (e *Env) RunSkeletonContext(ctx context.Context, p *Skeleton) (float64, err
 	return skeleton.RunContext(ctx, p, e.build(), e.mpiConfig(), nil)
 }
 
-// BuildSignature compresses a trace into an execution signature with the
-// given target compression ratio Q (the paper uses Q = K/2 for a skeleton
-// of scaling factor K; pass 0 for a single clustering pass at threshold
-// zero).
-func BuildSignature(tr *Trace, targetRatio float64) (*Signature, error) {
-	return signature.Build(tr, signature.Options{TargetRatio: targetRatio})
-}
-
-// BuildSignatureOpts compresses a trace with full control of the
-// clustering options.
-func BuildSignatureOpts(tr *Trace, opts SignatureOptions) (*Signature, error) {
-	return signature.Build(tr, opts)
-}
-
-// BuildSkeleton constructs a performance skeleton with integer scaling
-// factor K: the skeleton's dedicated execution time is about 1/K of the
-// application's.
-func BuildSkeleton(sig *Signature, k int) (*Skeleton, error) {
-	return skeleton.Build(sig, k)
-}
-
-// BuildSkeletonForTime constructs a skeleton with an intended execution
-// time in seconds, deriving K from the traced application time.
-func BuildSkeletonForTime(sig *Signature, seconds float64) (*Skeleton, error) {
-	return skeleton.BuildForTime(sig, seconds)
-}
-
 // MinGoodSkeletonTime estimates the shortest skeleton that still predicts
 // reliably (one full iteration of the dominant execution sequence, paper
 // section 3.4).
@@ -293,11 +267,6 @@ const (
 	// latency/bandwidth, dropping latency-bound symmetric operations.
 	TimeScale = skeleton.TimeScale
 )
-
-// BuildSkeletonOpts constructs a skeleton with explicit options.
-func BuildSkeletonOpts(sig *Signature, k int, opts SkeletonOptions) (*Skeleton, error) {
-	return skeleton.BuildOpts(sig, k, opts)
-}
 
 // RescaleSkeleton retargets a skeleton built from an n-rank trace to m
 // ranks (weak scaling; SPMD programs whose ranks differ only in
@@ -347,21 +316,3 @@ func NewSelector(skel *Skeleton, appDedicated float64, ref Topology) (*Selector,
 // TestbedTopology returns the paper's n-node dual-CPU topology, for
 // building heterogeneous Candidate variants.
 func TestbedTopology(n int) Topology { return cluster.Testbed(n) }
-
-// BuildSkeletonFromTrace runs the complete construction pipeline for
-// scaling factor K: the similarity threshold is searched until the
-// compression ratio reaches the paper's Q = K/2 and the skeleton is
-// verified mutually consistent across ranks (an inconsistent skeleton
-// would deadlock). Equivalent to Construct(tr, WithK(k),
-// WithSkeletonOptions(opts)).
-func BuildSkeletonFromTrace(tr *Trace, k int, opts SkeletonOptions) (*Skeleton, *Signature, error) {
-	return Construct(tr, WithK(k), WithSkeletonOptions(opts))
-}
-
-// BuildSkeletonFromTraceForTime is BuildSkeletonFromTrace with an intended
-// skeleton execution time instead of an explicit K. Equivalent to
-// Construct(tr, WithTargetTime(seconds), WithSkeletonOptions(opts)); the
-// scaling factor is derived exactly as BuildSkeletonForTime derives it.
-func BuildSkeletonFromTraceForTime(tr *Trace, seconds float64, opts SkeletonOptions) (*Skeleton, *Signature, error) {
-	return Construct(tr, WithTargetTime(seconds), WithSkeletonOptions(opts))
-}

@@ -25,11 +25,8 @@ func TestEndToEndPipeline(t *testing.T) {
 		t.Fatalf("trace: %v s, %d events", appTime, tr.Len())
 	}
 
-	sig, err := perfskel.BuildSignature(tr, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	skel, err := perfskel.BuildSkeleton(sig, 10)
+	skel, _, err := perfskel.Construct(tr, perfskel.WithK(10),
+		perfskel.WithSignatureOptions(perfskel.SignatureOptions{TargetRatio: 5}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +89,8 @@ func TestMinGoodSkeletonTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sig, err := perfskel.BuildSignature(tr, 10)
+	_, sig, err := perfskel.Construct(tr, perfskel.WithK(20),
+		perfskel.WithSignatureOptions(perfskel.SignatureOptions{TargetRatio: 10}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,11 +108,8 @@ func TestCodegenFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sig, err := perfskel.BuildSignature(tr, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	skel, err := perfskel.BuildSkeleton(sig, 2)
+	skel, _, err := perfskel.Construct(tr, perfskel.WithK(2),
+		perfskel.WithSignatureOptions(perfskel.SignatureOptions{TargetRatio: 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,14 +149,12 @@ func TestFacadeExtensions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sig, err := perfskel.BuildSignature(tr, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	skel, err := perfskel.BuildSkeletonOpts(sig, 8, perfskel.SkeletonOptions{
-		Mode:          perfskel.TimeScale,
-		SpreadCompute: true,
-	})
+	skel, _, err := perfskel.Construct(tr, perfskel.WithK(8),
+		perfskel.WithSignatureOptions(perfskel.SignatureOptions{TargetRatio: 4}),
+		perfskel.WithSkeletonOptions(perfskel.SkeletonOptions{
+			Mode:          perfskel.TimeScale,
+			SpreadCompute: true,
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +199,8 @@ func TestFacadeFileRoundTrips(t *testing.T) {
 	if err != nil || tr2.Len() != tr.Len() {
 		t.Fatalf("trace round trip: %v", err)
 	}
-	sig, err := perfskel.BuildSignature(tr2, 3)
+	skel, sig, err := perfskel.Construct(tr2, perfskel.WithK(3),
+		perfskel.WithSignatureOptions(perfskel.SignatureOptions{TargetRatio: 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,10 +209,6 @@ func TestFacadeFileRoundTrips(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := perfskel.LoadSignature(sigPath); err != nil {
-		t.Fatal(err)
-	}
-	skel, err := perfskel.BuildSkeleton(sig, 3)
-	if err != nil {
 		t.Fatal(err)
 	}
 	skPath := filepath.Join(dir, "k.json")

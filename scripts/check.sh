@@ -20,6 +20,11 @@ fi
 echo "==> go vet ./..."
 go vet ./...
 
+# skelbench is its own module, so ./... above and skelvet -self below
+# do not reach it.
+echo "==> go vet (skelbench module)"
+(cd skelbench && go vet ./...)
+
 echo "==> skelvet -self"
 go run ./cmd/skelvet -self
 
