@@ -12,6 +12,12 @@
 //   - the SHA-256 of every cell's Perfetto export and rendered metrics;
 //   - the SHA-256 of the merged Perfetto document over the whole grid.
 //
+// A second, smaller grid pins the rank-scale regime, where many flows
+// share a link component at once: IS and MG class S on 64 ranks,
+// dedicated and combined, and CG class S on 16 ranks combined. It has its
+// own cell list, so the 4-rank cells and their merged SHA are untouched
+// by it, and its cells carry no Perfetto SHA (see timingRun).
+//
 // Regenerate with `go test -run TestSimTimingGolden -timing-update` ONLY
 // for a change that intentionally alters virtual timings; the point of
 // the file is that performance work never does.
@@ -49,59 +55,70 @@ type timingCell struct {
 	Procs       int      `json:"procs"`
 	CPUBusyBits []string `json:"cpu_busy_bits"`
 	LinkBits    []string `json:"link_bytes_bits"`
-	PerfettoSHA string   `json:"perfetto_sha256"`
+	PerfettoSHA string   `json:"perfetto_sha256,omitempty"`
 	MetricsSHA  string   `json:"metrics_sha256"`
 }
 
 type timingGolden struct {
-	Cells     []timingCell `json:"cells"`
-	MergedSHA string       `json:"merged_perfetto_sha256"`
+	Cells      []timingCell `json:"cells"`
+	MergedSHA  string       `json:"merged_perfetto_sha256"`
+	ScaleCells []timingCell `json:"scale_cells"`
 }
 
 func bits(f float64) string { return fmt.Sprintf("%016x", math.Float64bits(f)) }
 
 func sha(b []byte) string { return fmt.Sprintf("%x", sha256.Sum256(b)) }
 
-// runTimingGrid executes the grid and fingerprints every cell.
+// timingRun simulates one NAS app under a scenario with a full telemetry
+// collector attached and fingerprints the run. The Perfetto SHA is left
+// to the caller: at 32-64 ranks the export runs to hundreds of MB, so the
+// rank-scale cells pin the probe stream through the metrics render only.
+func timingRun(t *testing.T, name, scName string, ranks int, label string) (timingCell, *telemetry.Collector) {
+	t.Helper()
+	app, err := nas.App(name, nas.ClassS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := cluster.ByName(scName, ranks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := telemetry.NewCollector()
+	cl := cluster.BuildProbed(cluster.Testbed(ranks), sc, col)
+	if _, err := mpi.Run(cl, ranks, mpi.Config{Probe: col}, nil, app); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	st := cl.Engine.Stats()
+	cell := timingCell{
+		Label:   label,
+		NowBits: bits(st.Now),
+		Events:  st.Events,
+		Procs:   st.Procs,
+	}
+	for _, c := range st.CPUBusy {
+		cell.CPUBusyBits = append(cell.CPUBusyBits, c.Name+"="+bits(c.Busy))
+	}
+	for _, l := range st.LinkBytes {
+		cell.LinkBits = append(cell.LinkBits, l.Name+"="+bits(l.Bytes))
+	}
+	cell.MetricsSHA = sha([]byte(col.Metrics.Render()))
+	return cell, col
+}
+
+// runTimingGrid executes both grids and fingerprints every cell.
 func runTimingGrid(t *testing.T) timingGolden {
 	t.Helper()
 	const ranks = 4
 	var g timingGolden
 	var cells []telemetry.LabeledCollector
 	for _, name := range []string{"CG", "MG", "IS"} {
-		app, err := nas.App(name, nas.ClassS)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, scName := range []string{"dedicated", "cpu-one-node", "combined"} {
-			sc, err := cluster.ByName(scName, ranks)
-			if err != nil {
-				t.Fatal(err)
-			}
-			col := telemetry.NewCollector()
-			cl := cluster.BuildProbed(cluster.Testbed(ranks), sc, col)
-			if _, err := mpi.Run(cl, ranks, mpi.Config{Probe: col}, nil, app); err != nil {
-				t.Fatalf("%s/%s: %v", name, scName, err)
-			}
-			st := cl.Engine.Stats()
-			cell := timingCell{
-				Label:   name + "/" + scName,
-				NowBits: bits(st.Now),
-				Events:  st.Events,
-				Procs:   st.Procs,
-			}
-			for _, c := range st.CPUBusy {
-				cell.CPUBusyBits = append(cell.CPUBusyBits, c.Name+"="+bits(c.Busy))
-			}
-			for _, l := range st.LinkBytes {
-				cell.LinkBits = append(cell.LinkBits, l.Name+"="+bits(l.Bytes))
-			}
+			cell, col := timingRun(t, name, scName, ranks, name+"/"+scName)
 			var buf bytes.Buffer
 			if err := col.WritePerfetto(&buf); err != nil {
 				t.Fatal(err)
 			}
 			cell.PerfettoSHA = sha(buf.Bytes())
-			cell.MetricsSHA = sha([]byte(col.Metrics.Render()))
 			g.Cells = append(g.Cells, cell)
 			cells = append(cells, telemetry.LabeledCollector{Label: cell.Label, C: col})
 		}
@@ -111,7 +128,51 @@ func runTimingGrid(t *testing.T) timingGolden {
 		t.Fatal(err)
 	}
 	g.MergedSHA = sha(merged.Bytes())
+	for _, c := range []struct {
+		name, sc string
+		ranks    int
+	}{
+		{"IS", "dedicated", 64}, {"IS", "combined", 64},
+		{"MG", "dedicated", 64}, {"MG", "combined", 64},
+		{"CG", "combined", 16},
+	} {
+		cell, _ := timingRun(t, c.name, c.sc, c.ranks, fmt.Sprintf("%s/%s/%d", c.name, c.sc, c.ranks))
+		g.ScaleCells = append(g.ScaleCells, cell)
+	}
 	return g
+}
+
+// compareTimingCells reports every divergence of got from the golden want.
+func compareTimingCells(t *testing.T, got, want []timingCell) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("grid has %d cells, golden has %d", len(got), len(want))
+	}
+	for i, w := range want {
+		g := got[i]
+		if g.Label != w.Label {
+			t.Fatalf("cell %d label %q, golden %q", i, g.Label, w.Label)
+		}
+		if g.NowBits != w.NowBits {
+			t.Errorf("%s: final virtual time bits %s, golden %s", g.Label, g.NowBits, w.NowBits)
+		}
+		if g.Events != w.Events || g.Procs != w.Procs {
+			t.Errorf("%s: stats events=%d procs=%d, golden events=%d procs=%d",
+				g.Label, g.Events, g.Procs, w.Events, w.Procs)
+		}
+		if strings.Join(g.CPUBusyBits, ",") != strings.Join(w.CPUBusyBits, ",") {
+			t.Errorf("%s: CPU busy diverged:\n got %v\nwant %v", g.Label, g.CPUBusyBits, w.CPUBusyBits)
+		}
+		if strings.Join(g.LinkBits, ",") != strings.Join(w.LinkBits, ",") {
+			t.Errorf("%s: link bytes diverged:\n got %v\nwant %v", g.Label, g.LinkBits, w.LinkBits)
+		}
+		if g.PerfettoSHA != w.PerfettoSHA {
+			t.Errorf("%s: Perfetto output diverged (sha %s, golden %s)", g.Label, g.PerfettoSHA, w.PerfettoSHA)
+		}
+		if g.MetricsSHA != w.MetricsSHA {
+			t.Errorf("%s: metrics render diverged (sha %s, golden %s)", g.Label, g.MetricsSHA, w.MetricsSHA)
+		}
+	}
 }
 
 // TestSimTimingGolden pins the simulation core's virtual timings to the
@@ -140,34 +201,8 @@ func TestSimTimingGolden(t *testing.T) {
 	if err := json.Unmarshal(raw, &want); err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Cells) != len(want.Cells) {
-		t.Fatalf("grid has %d cells, golden has %d", len(got.Cells), len(want.Cells))
-	}
-	for i, w := range want.Cells {
-		g := got.Cells[i]
-		if g.Label != w.Label {
-			t.Fatalf("cell %d label %q, golden %q", i, g.Label, w.Label)
-		}
-		if g.NowBits != w.NowBits {
-			t.Errorf("%s: final virtual time bits %s, golden %s", g.Label, g.NowBits, w.NowBits)
-		}
-		if g.Events != w.Events || g.Procs != w.Procs {
-			t.Errorf("%s: stats events=%d procs=%d, golden events=%d procs=%d",
-				g.Label, g.Events, g.Procs, w.Events, w.Procs)
-		}
-		if strings.Join(g.CPUBusyBits, ",") != strings.Join(w.CPUBusyBits, ",") {
-			t.Errorf("%s: CPU busy diverged:\n got %v\nwant %v", g.Label, g.CPUBusyBits, w.CPUBusyBits)
-		}
-		if strings.Join(g.LinkBits, ",") != strings.Join(w.LinkBits, ",") {
-			t.Errorf("%s: link bytes diverged:\n got %v\nwant %v", g.Label, g.LinkBits, w.LinkBits)
-		}
-		if g.PerfettoSHA != w.PerfettoSHA {
-			t.Errorf("%s: Perfetto output diverged (sha %s, golden %s)", g.Label, g.PerfettoSHA, w.PerfettoSHA)
-		}
-		if g.MetricsSHA != w.MetricsSHA {
-			t.Errorf("%s: metrics render diverged (sha %s, golden %s)", g.Label, g.MetricsSHA, w.MetricsSHA)
-		}
-	}
+	compareTimingCells(t, got.Cells, want.Cells)
+	compareTimingCells(t, got.ScaleCells, want.ScaleCells)
 	if got.MergedSHA != want.MergedSHA {
 		t.Errorf("merged Perfetto diverged (sha %s, golden %s)", got.MergedSHA, want.MergedSHA)
 	}
