@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 
 	"perfskel/internal/telemetry"
@@ -40,11 +41,54 @@ func steadyAllocRun(iters int, probe telemetry.SimProbe) int {
 	return e.Stats().Events
 }
 
+// steadyComponentsRun is the multi-component counterpart of
+// steadyAllocRun: four procs each stream flows over a private two-hop
+// path, so the flow graph splits into four disjoint components, and
+// every other iteration each proc also sends over one link all of them
+// share, which merges the components until those flows drain. The
+// per-component refilling walk, its sort and its scratch lists must
+// recycle their storage like the rest of the loop.
+func steadyComponentsRun(iters int, probe telemetry.SimProbe) int {
+	const procs = 4
+	e := New()
+	if probe != nil {
+		e.SetProbe(probe)
+	}
+	shared := e.NewResource("core", 500e6)
+	own := make([][]*Resource, procs)
+	merged := make([][]*Resource, procs)
+	cpus := make([]*CPU, procs)
+	for i := range own {
+		up := e.NewResource(fmt.Sprintf("up%d", i), 125e6)
+		down := e.NewResource(fmt.Sprintf("down%d", i), 125e6)
+		own[i] = []*Resource{up, down}
+		merged[i] = []*Resource{up, shared}
+		cpus[i] = e.NewCPU(fmt.Sprintf("n%d", i), 1, 1)
+	}
+	noop := func() {}
+	for p := 0; p < procs; p++ {
+		e.Spawn("p", false, func(pr *Proc) {
+			for it := 0; it < iters; it++ {
+				pr.Compute(cpus[p], 100e-6)
+				e.StartFlow(own[p], 1e3, noop)
+				if it%2 == 0 {
+					e.StartFlow(merged[p], 2e3, noop)
+				}
+				pr.Sleep(50e-6)
+			}
+		})
+	}
+	if err := e.Run(); err != nil {
+		panic(err)
+	}
+	return e.Stats().Events
+}
+
 // marginalAllocs returns the average allocations attributable to the
 // extra events between a short and a long run of the same workload. The
 // subtraction cancels all setup cost (engine, procs, goroutines, pool and
 // scratch warm-up), leaving the per-event steady-state figure.
-func marginalAllocs(t *testing.T, probe func() telemetry.SimProbe) float64 {
+func marginalAllocs(t *testing.T, run func(int, telemetry.SimProbe) int, probe func() telemetry.SimProbe) float64 {
 	t.Helper()
 	const short, long, runs = 200, 600, 5
 	var events [2]int
@@ -53,14 +97,14 @@ func marginalAllocs(t *testing.T, probe func() telemetry.SimProbe) float64 {
 		if probe != nil {
 			p = probe()
 		}
-		events[0] = steadyAllocRun(short, p)
+		events[0] = run(short, p)
 	})
 	allocLong := testing.AllocsPerRun(runs, func() {
 		var p telemetry.SimProbe
 		if probe != nil {
 			p = probe()
 		}
-		events[1] = steadyAllocRun(long, p)
+		events[1] = run(long, p)
 	})
 	dEvents := events[1] - events[0]
 	if dEvents <= 0 {
@@ -75,11 +119,20 @@ func marginalAllocs(t *testing.T, probe func() telemetry.SimProbe) float64 {
 // allocation per simulation event is zero. The small tolerance absorbs
 // runtime-internal noise (sudog cache refills, timer machinery), not
 // engine allocations — one real per-event allocation would show up as
-// a full 1.0.
+// a full 1.0. Both the single-path workload and the multi-component one
+// must hold it.
 func TestSteadyStateAllocFreeProbeOff(t *testing.T) {
-	perEvent := marginalAllocs(t, nil)
-	if perEvent > 0.05 {
-		t.Fatalf("probe-off steady state allocates %.3f allocs/event, want 0", perEvent)
+	for _, w := range []struct {
+		name string
+		run  func(int, telemetry.SimProbe) int
+	}{
+		{"shared path", steadyAllocRun},
+		{"components", steadyComponentsRun},
+	} {
+		perEvent := marginalAllocs(t, w.run, nil)
+		if perEvent > 0.05 {
+			t.Fatalf("%s: probe-off steady state allocates %.3f allocs/event, want 0", w.name, perEvent)
+		}
 	}
 }
 
@@ -89,7 +142,7 @@ func TestSteadyStateAllocFreeProbeOff(t *testing.T) {
 // under two allocations per event. A regression past the budget means a
 // new allocation crept into the collector hot path.
 func TestSteadyStateAllocBudgetProbeOn(t *testing.T) {
-	perEvent := marginalAllocs(t, func() telemetry.SimProbe { return telemetry.NewCollector() })
+	perEvent := marginalAllocs(t, steadyAllocRun, func() telemetry.SimProbe { return telemetry.NewCollector() })
 	if perEvent > 2.0 {
 		t.Fatalf("probe-on steady state allocates %.3f allocs/event, want <= 2", perEvent)
 	}

@@ -137,3 +137,94 @@ func BenchmarkSimSteadyCompute(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 	b.ReportMetric(float64(events)/float64(b.N), "events/op")
 }
+
+// runFlowScale drives the rank-scale flow regime: 64 single-processor
+// nodes with one proc each. Every iteration computes, runs a permutation
+// exchange (proc i sends to i XOR 2^k, so up to 64 independent two-hop
+// flows are in flight at once, one link component each) and then a
+// gather to proc 0 (63 flows sharing down0, one component spanning every
+// uplink). The mix is what a from-scratch filling re-solves in full on
+// every flow start or finish.
+func runFlowScale(iters int) Stats {
+	const procs = 64
+	e := New()
+	cpus := make([]*CPU, procs)
+	up := make([]*Resource, procs)
+	down := make([]*Resource, procs)
+	for i := 0; i < procs; i++ {
+		cpus[i] = e.NewCPU(fmt.Sprintf("node%d", i), 1, 1)
+		up[i] = e.NewResource(fmt.Sprintf("up%d", i), 125e6)
+		down[i] = e.NewResource(fmt.Sprintf("down%d", i), 125e6)
+	}
+	paths := make([][]*Resource, procs*procs)
+	for s := 0; s < procs; s++ {
+		for d := 0; d < procs; d++ {
+			paths[s*procs+d] = []*Resource{up[s], down[d]}
+		}
+	}
+	barCount := 0
+	barEv := e.NewEvent()
+	barrier := func(p *Proc) {
+		barCount++
+		if barCount == procs {
+			barCount = 0
+			old := barEv
+			barEv = e.NewEvent()
+			old.Fire()
+			return
+		}
+		p.WaitEvent(barEv, "barrier")
+	}
+	inbox := make([]*Event, procs)
+	for i := range inbox {
+		inbox[i] = e.NewEvent()
+	}
+	gathered := 0
+	gatherEv := e.NewEvent()
+	arrive := func() {
+		gathered++
+		if gathered == procs-1 {
+			gathered = 0
+			gatherEv.Fire()
+		}
+	}
+	for i := 0; i < procs; i++ {
+		i := i
+		e.Spawn(fmt.Sprintf("rank%d", i), false, func(p *Proc) {
+			for it := 0; it < iters; it++ {
+				jit := 1 + 0.02*float64((i*31+it*17)%7-3)
+				p.Compute(cpus[i], 0.0005*jit)
+				dst := i ^ (1 << (it % 6))
+				p.Sleep(50e-6)
+				e.StartFlow(paths[i*procs+dst], 64e3*jit, inbox[dst].Fire)
+				p.WaitEvent(inbox[i], "exchange recv")
+				inbox[i] = e.NewEvent()
+				barrier(p)
+				if i == 0 {
+					p.WaitEvent(gatherEv, "gather")
+					gatherEv = e.NewEvent()
+				} else {
+					p.Sleep(50e-6)
+					e.StartFlow(paths[i*procs], 16e3*jit, arrive)
+				}
+				barrier(p)
+			}
+		})
+	}
+	if err := e.Run(); err != nil {
+		panic(err)
+	}
+	return e.Stats()
+}
+
+// BenchmarkSimFlowScale reports ns per simulation event for the 64-node
+// flow mix of runFlowScale, probe off.
+func BenchmarkSimFlowScale(b *testing.B) {
+	b.ReportAllocs()
+	events := 0
+	for i := 0; i < b.N; i++ {
+		events += runFlowScale(20).Events
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+	b.ReportMetric(float64(events)/float64(b.N), "events/op")
+}

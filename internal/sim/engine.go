@@ -23,15 +23,21 @@
 //   - Timers fire at an absolute virtual deadline.
 //
 // Performance: the event loop is incremental and allocation-free in
-// steady state. Processor-sharing rates are maintained as per-CPU values
-// updated when a group's runnable count changes; the max-min filling
-// reruns only when the flow set or a capacity changed (see
-// computeFlowRates); task structs are pooled; the ready queue and the
-// task/flow lists reuse their backing arrays. All of it preserves
-// bit-for-bit virtual timings — every floating-point expression the old
-// from-scratch recomputation evaluated per event is either evaluated
-// identically or skipped only when its inputs are provably unchanged
-// (the determinism goldens at the repo root pin this).
+// steady state, and its host cost per event does not grow with the
+// number of CPUs or concurrent flows a change leaves untouched.
+// Processor-sharing rates are maintained as per-CPU values updated when a
+// group's runnable count changes, and busy time is charged only to the
+// groups on a busy list. The max-min filling reruns only over the link
+// components whose flow set or capacities changed: it walks from the
+// dirty resources over the resource->flow->resource graph and refills
+// the flows it reaches, which is exact because filling decomposes over
+// connected components (see computeFlowRates). Task structs are pooled;
+// the ready queue, the task list and the filling's scratch lists reuse
+// their backing arrays. All of it preserves bit-for-bit virtual timings —
+// every floating-point expression the old from-scratch recomputation
+// evaluated per event is either evaluated identically or skipped only
+// when its inputs are provably unchanged (the determinism goldens at the
+// repo root pin this).
 package sim
 
 import (
@@ -48,12 +54,12 @@ import (
 type Engine struct {
 	now         float64
 	procs       []*Proc
-	ready       []*Proc // runnable procs, kept sorted by id
-	readyHead   int     // index of the queue's front within ready
-	tasks       []*task // active resource-consuming tasks, creation (= id) order
-	flows       []*task // active flow tasks, creation order
-	flowsDirty  bool    // flow set or a capacity changed since the last max-min run
-	rateEpoch   uint64  // increments per max-min run; Resource.epoch marks membership
+	ready       []*Proc     // runnable procs, kept sorted by id
+	readyHead   int         // index of the queue's front within ready
+	tasks       []*task     // active resource-consuming tasks, creation (= id) order
+	dirtyRes    []*Resource // resources whose flows or capacity changed since the last max-min run
+	busyCPUs    []*CPU      // CPU groups with at least one running compute task, any order
+	rateEpoch   uint64      // increments per max-min run; Resource.epoch marks the run's walk
 	taskSeq     int64
 	completions int
 	alive       int // non-daemon procs that have not finished
@@ -69,6 +75,7 @@ type Engine struct {
 	// scratch storage reused across events so the steady-state loop
 	// allocates nothing.
 	resScratch       []*Resource
+	flowScratch      []*task
 	completedScratch []*task
 	taskPool         []*task
 

@@ -4,19 +4,25 @@ package sim
 // once fired every current and future waiter proceeds immediately. It is
 // the synchronization primitive the message-passing layer builds request
 // completion on.
+//
+// The zero value is an unfired event, so callers can embed one by value
+// instead of allocating it. The first waiter is stored inline; only
+// events with several concurrent waiters (barrier-style rounds) grow the
+// overflow slice.
 type Event struct {
-	eng     *Engine
-	fired   bool
-	waiters []*Proc
+	fired bool
+	first *Proc
+	more  []*Proc
 }
 
 // NewEvent returns an unfired event.
-func (e *Engine) NewEvent() *Event { return &Event{eng: e} }
+func (e *Engine) NewEvent() *Event { return &Event{} }
 
 // Fired reports whether the event has fired.
 func (ev *Event) Fired() bool { return ev.fired }
 
-// Fire marks the event fired and wakes all waiters. Firing an already-fired
+// Fire marks the event fired and wakes all waiters in the order they
+// started waiting, each through its own engine. Firing an already-fired
 // event is a no-op. Fire may be called from a running process or from a
 // task completion callback.
 func (ev *Event) Fire() {
@@ -24,10 +30,14 @@ func (ev *Event) Fire() {
 		return
 	}
 	ev.fired = true
-	for _, p := range ev.waiters {
-		ev.eng.wake(p)
+	if p := ev.first; p != nil {
+		ev.first = nil
+		p.eng.wake(p)
 	}
-	ev.waiters = nil
+	for _, p := range ev.more {
+		p.eng.wake(p)
+	}
+	ev.more = nil
 }
 
 // WaitEvent blocks the calling process until ev fires. Returns immediately
@@ -44,6 +54,10 @@ func (p *Proc) WaitEventReason(ev *Event, r Reason) {
 	if ev.fired {
 		return
 	}
-	ev.waiters = append(ev.waiters, p)
+	if ev.first == nil {
+		ev.first = p
+	} else {
+		ev.more = append(ev.more, p)
+	}
 	p.block(r)
 }

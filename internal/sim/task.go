@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"strings"
 
 	"perfskel/internal/telemetry"
@@ -18,6 +20,7 @@ type CPU struct {
 	active  int     // running compute tasks (maintained incrementally)
 	rate    float64 // per-task rate for the current active count
 	busy    float64 // virtual seconds with at least one runnable task
+	busyIdx int     // position in Engine.busyCPUs while active > 0
 	probed  int     // last runnable count reported to the probe
 	probeID int     // dense id from ResourceProbe registration (-1 until registered)
 
@@ -57,16 +60,32 @@ func (e *Engine) NewCPU(name string, ncpu int, speed float64) *CPU {
 // Name returns the CPU group's name.
 func (c *CPU) Name() string { return c.name }
 
-// addActive adjusts the runnable compute-task count and refreshes the
-// shared per-task rate. The expression is exactly the one the former
-// per-event recomputation evaluated, on an active count that integer
-// increments keep exact, so the incremental rate is bit-identical to a
-// from-scratch one. A group that drains to zero keeps a stale rate, which
-// is never read: no task is running on it.
-func (c *CPU) addActive(d int) {
+// addActive adjusts c's runnable compute-task count by d (+1 or -1) and
+// refreshes the shared per-task rate. The expression is exactly the one
+// the former per-event recomputation evaluated, on an active count that
+// integer increments keep exact, so the incremental rate is bit-identical
+// to a from-scratch one. A group that drains to zero keeps a stale rate,
+// which is never read: no task is running on it.
+//
+// The 0<->1 transitions also maintain e.busyCPUs, the groups advance
+// charges busy time to; removal swaps the last entry into the vacated
+// slot.
+func (e *Engine) addActive(c *CPU, d int) {
+	was := c.active
 	c.active += d
-	if c.active > 0 {
+	switch {
+	case c.active > 0:
 		c.rate = c.speed * math.Min(1, float64(c.ncpu)/float64(c.active))
+		if was == 0 {
+			c.busyIdx = len(e.busyCPUs)
+			e.busyCPUs = append(e.busyCPUs, c)
+		}
+	case was > 0:
+		last := e.busyCPUs[len(e.busyCPUs)-1]
+		e.busyCPUs[c.busyIdx] = last
+		last.busyIdx = c.busyIdx
+		e.busyCPUs[len(e.busyCPUs)-1] = nil
+		e.busyCPUs = e.busyCPUs[:len(e.busyCPUs)-1]
 	}
 }
 
@@ -78,14 +97,18 @@ type Resource struct {
 	capacity float64 // bytes per second
 	bytes    float64 // payload bytes carried, accumulated during advance
 
-	// scratch fields owned by the max-min computation. epoch stamps the
-	// filling run that last touched the resource: it replaces the
-	// per-event membership map, and comparing it against the engine's
-	// rateEpoch answers "is this resource carrying flows right now".
+	// members lists the active flows crossing the resource in creation
+	// order, once per occurrence on the flow's path. It is the
+	// resource->flow half of the graph computeFlowRates walks.
+	members []*task
+
+	// scratch fields owned by the max-min computation, valid for every
+	// resource since the last filling run that reached it. epoch stamps
+	// that run's component walk.
 	epoch   uint64
 	remCap  float64
 	unfixed int
-	nflows  int // flows crossing the resource this round
+	nflows  int // flows crossing the resource, counted per path occurrence
 
 	// last utilisation reported to the probe
 	probedRate  float64
@@ -102,7 +125,7 @@ func (e *Engine) NewResource(name string, capacity float64) *Resource {
 	if capacity <= 0 {
 		panic("sim: NewResource requires positive capacity")
 	}
-	r := &Resource{name: name, eng: e, capacity: capacity, probeID: -1}
+	r := &Resource{name: name, eng: e, capacity: capacity, remCap: capacity, probeID: -1}
 	e.links = append(e.links, r)
 	return r
 }
@@ -122,7 +145,7 @@ func (r *Resource) SetCapacity(c float64) {
 	}
 	r.capacity = c
 	if r.eng != nil {
-		r.eng.flowsDirty = true
+		r.eng.dirtyRes = append(r.eng.dirtyRes, r)
 	}
 }
 
@@ -198,7 +221,7 @@ func (e *Engine) StartCompute(cpu *CPU, work float64, onDone func()) {
 	t.remaining = work
 	t.onDone = onDone
 	e.addTask(t)
-	cpu.addActive(1)
+	e.addActive(cpu, 1)
 	if e.probe != nil {
 		e.probe.TaskStart(e.now, t.id, telemetry.TaskCompute, cpu.name, work)
 	}
@@ -222,8 +245,7 @@ func (e *Engine) StartFlow(path []*Resource, bytes float64, onDone func()) {
 	t.remaining = bytes
 	t.onDone = onDone
 	e.addTask(t)
-	e.flows = append(e.flows, t)
-	e.flowsDirty = true
+	e.addFlow(t)
 	if e.probe != nil {
 		// Join the path name once here; the finish report reuses it.
 		t.where = pathName(path)
@@ -231,20 +253,31 @@ func (e *Engine) StartFlow(path []*Resource, bytes float64, onDone func()) {
 	}
 }
 
-// removeFlow drops a completed flow from the ordered flow list. Flow
-// populations are small (bounded by concurrent transfers), so the linear
-// order-preserving removal is cheaper than any indexed structure.
-func (e *Engine) removeFlow(t *task) {
-	for i, f := range e.flows {
-		if f == t {
-			copy(e.flows[i:], e.flows[i+1:])
-			e.flows[len(e.flows)-1] = nil
-			e.flows = e.flows[:len(e.flows)-1]
-			e.flowsDirty = true
-			return
-		}
+// addFlow enters a new flow into the member list of every resource on
+// its path and marks the path for the next filling run.
+func (e *Engine) addFlow(t *task) {
+	for _, r := range t.path {
+		r.members = append(r.members, t)
 	}
-	panic("sim: completed flow missing from flow list")
+	e.dirtyRes = append(e.dirtyRes, t.path...)
+}
+
+// removeFlow drops a completed flow from the member lists of its path
+// and marks the path for the next filling run. A resource carries few
+// flows at once (bounded by concurrent transfers through one link), and
+// the oldest flow tends to finish first, so the linear order-preserving
+// removal is cheaper than any indexed structure.
+func (e *Engine) removeFlow(t *task) {
+	for _, r := range t.path {
+		i := slices.Index(r.members, t)
+		if i < 0 {
+			panic("sim: completed flow missing from resource " + r.name)
+		}
+		copy(r.members[i:], r.members[i+1:])
+		r.members[len(r.members)-1] = nil
+		r.members = r.members[:len(r.members)-1]
+	}
+	e.dirtyRes = append(e.dirtyRes, t.path...)
 }
 
 // pathName joins a flow path's resource names for probe reports. The
@@ -313,7 +346,7 @@ func (p *Proc) Compute(cpu *CPU, work float64) {
 		t.remaining = work
 		t.proc = p
 		e.addTask(t)
-		cpu.addActive(1)
+		e.addActive(cpu, 1)
 		if e.probe != nil {
 			e.probe.TaskStart(e.now, t.id, telemetry.TaskCompute, cpu.name, work)
 		}
@@ -348,64 +381,101 @@ func (p *Proc) Sleep(d float64) {
 }
 
 // computeRates rebuilds every rate assignment from scratch: CPU runnable
-// counts and processor-sharing rates, then max-min fair flow rates. The
-// event loop itself never calls this — CPU rates are maintained by
-// addActive at task start/finish and flow rates by computeFlowRates only
-// when the flow set or a capacity changed — but the rebuild exists for
-// direct-injection tests that bypass the Start* constructors, and as
-// executable documentation of the state the incremental path must be
-// equivalent to.
+// counts and processor-sharing rates, resource member lists, then max-min
+// fair flow rates with every resource marked dirty. The event loop itself
+// never calls this — CPU rates are maintained by addActive at task
+// start/finish and flow rates by computeFlowRates over the components a
+// change touched — but the rebuild exists for direct-injection tests
+// that bypass the Start* constructors, and as the from-scratch state the
+// incremental path must reproduce bit for bit.
 func (e *Engine) computeRates() {
 	for _, c := range e.cpus {
 		c.active = 0
 	}
-	e.flows = e.flows[:0]
+	clear(e.busyCPUs)
+	e.busyCPUs = e.busyCPUs[:0]
+	for _, r := range e.links {
+		clear(r.members)
+		r.members = r.members[:0]
+	}
 	for _, t := range e.tasks {
 		switch t.kind {
 		case taskCompute:
-			t.cpu.active++
+			e.addActive(t.cpu, 1)
 		case taskFlow:
-			e.flows = append(e.flows, t)
+			e.addFlow(t)
 		}
 	}
-	for _, c := range e.cpus {
-		if c.active > 0 {
-			c.rate = c.speed * math.Min(1, float64(c.ncpu)/float64(c.active))
-		}
-	}
+	e.dirtyRes = append(e.dirtyRes, e.links...)
 	e.computeFlowRates()
 }
 
-// computeFlowRates assigns max-min fair rates to the active flows via
-// progressive filling. It runs only when e.flowsDirty is set — a flow
-// started or finished, or a capacity changed. Skipped rounds are exact,
-// not approximate: with an unchanged flow set and unchanged capacities,
-// re-running the filling would traverse the same flows in the same
-// creation order and reproduce bit-identical rates, so keeping the old
-// ones is equivalent to the former every-event recomputation.
+// computeFlowRates assigns max-min fair rates via progressive filling to
+// the flows of every link component a change touched since the last run:
+// a flow started or finished on a resource of the component, or a
+// resource's capacity changed. advance calls it only when e.dirtyRes is
+// non-empty.
 //
-// The rateEpoch stamp replaces the per-event resource-membership map: a
-// resource touched by the current filling run carries flows, and its
-// remCap/nflows scratch stays valid until the next run.
+// The run first walks the resource->flow->resource graph (Resource.members
+// and task.path) from each dirty resource, collecting the connected
+// flows and resetting each reached resource's scratch state; a collected
+// flow's rate is set to -1 (unfixed), which also marks it visited. The
+// collected flows are sorted by task id, i.e. creation order, and filled
+// exactly as a from-scratch run over all flows would fill them:
+// resources join res in first-touch order, the bottleneck is the
+// smallest remCap/unfixed share with ties to the earliest in res, and
+// every flow through it is fixed at that share in creation order.
+//
+// Refilling only the touched components is exact, not approximate.
+// Filling decomposes over connected components: a component's state
+// changes only when one of its own resources is the bottleneck, and its
+// argmin with ties broken by first-touch order is the same whether its
+// resources sit in res alone or interleaved with another component's. So
+// each component sees the same bottleneck sequence and each resource the
+// same sequence of remCap -= share subtractions either way, and an
+// untouched component's rates and remCap are bit-identical to what a
+// full re-fill would produce. Resources left without flows are reset to
+// their full capacity by the walk.
 func (e *Engine) computeFlowRates() {
-	e.flowsDirty = false
 	e.rateEpoch++
+	flows := e.flowScratch[:0]
+	work := e.dirtyRes
+	for len(work) > 0 {
+		r := work[len(work)-1]
+		work = work[:len(work)-1]
+		if r.epoch == e.rateEpoch {
+			continue
+		}
+		r.epoch = e.rateEpoch
+		r.remCap = r.capacity
+		r.unfixed = 0
+		r.nflows = 0
+		for _, f := range r.members {
+			if f.rate == -1 {
+				continue
+			}
+			f.rate = -1 // unfixed
+			flows = append(flows, f)
+			for _, next := range f.path {
+				if next.epoch != e.rateEpoch {
+					work = append(work, next)
+				}
+			}
+		}
+	}
+	e.dirtyRes = work
+	slices.SortFunc(flows, func(a, b *task) int { return cmp.Compare(a.id, b.id) })
 	res := e.resScratch[:0]
-	for _, t := range e.flows {
-		t.rate = -1 // unfixed
+	for _, t := range flows {
 		for _, r := range t.path {
-			if r.epoch != e.rateEpoch {
-				r.epoch = e.rateEpoch
-				r.remCap = r.capacity
-				r.unfixed = 0
-				r.nflows = 0
+			if r.nflows == 0 {
 				res = append(res, r)
 			}
 			r.unfixed++
 			r.nflows++
 		}
 	}
-	unfixed := len(e.flows)
+	unfixed := len(flows)
 	for unfixed > 0 {
 		// Find the bottleneck resource: smallest fair share among resources
 		// that still carry unfixed flows. Iteration over res (flow creation
@@ -425,7 +495,7 @@ func (e *Engine) computeFlowRates() {
 		if bottleneck == nil {
 			panic("sim: max-min filling found no bottleneck with flows unfixed")
 		}
-		for _, f := range e.flows {
+		for _, f := range flows {
 			if f.rate >= 0 {
 				continue
 			}
@@ -451,6 +521,7 @@ func (e *Engine) computeFlowRates() {
 		}
 	}
 	e.resScratch = res
+	e.flowScratch = flows
 }
 
 // emitUtilisation reports per-CPU runnable counts and per-link flow
@@ -473,7 +544,7 @@ func (e *Engine) emitUtilisation() {
 	}
 	for _, r := range e.links {
 		rate, flows := 0.0, 0
-		if r.epoch != 0 && r.epoch == e.rateEpoch {
+		if len(r.members) > 0 {
 			rate, flows = r.capacity-r.remCap, r.nflows
 		}
 		if rate != r.probedRate || flows != r.probedFlows {
@@ -500,7 +571,7 @@ func (e *Engine) emitUtilisation() {
 // append-only between compactions, so it stays sorted by task id and the
 // former per-event sort of the completion batch is unnecessary.
 func (e *Engine) advance() {
-	if e.flowsDirty {
+	if len(e.dirtyRes) > 0 {
 		e.computeFlowRates()
 	}
 	if e.probe != nil {
@@ -532,10 +603,8 @@ func (e *Engine) advance() {
 	}
 	// Accumulate per-CPU busy time over the interval: a group is busy
 	// while at least one compute task is runnable on it.
-	for _, c := range e.cpus {
-		if c.active > 0 {
-			c.busy += dt
-		}
+	for _, c := range e.busyCPUs {
+		c.busy += dt
 	}
 	// Identify completions using the cached time-to-completion, with a
 	// small relative slack so float drift cannot strand a near-zero
@@ -577,7 +646,7 @@ func (e *Engine) advance() {
 		t.remaining = 0
 		switch t.kind {
 		case taskCompute:
-			t.cpu.addActive(-1)
+			e.addActive(t.cpu, -1)
 		case taskFlow:
 			e.removeFlow(t)
 		}
