@@ -49,7 +49,7 @@ func fold(out []Node, maxBody int) []Node {
 			// Rule 1: the tail window repeats the body of the loop node
 			// immediately before it.
 			if n >= l+1 {
-				if lp, ok := out[n-l-1].(*Loop); ok && len(lp.Body) == l && windowEqual(out[n-l:], lp.Body) {
+				if lp, ok := out[n-l-1].(*Loop); ok && len(lp.Body) == l && sameBody(out[n-l:], lp.Body) {
 					out = append(out[:n-l-1], NewLoop(lp.Count+1, lp.Body))
 					fired = true
 					break
@@ -57,7 +57,7 @@ func fold(out []Node, maxBody int) []Node {
 			}
 			// Rule 2: two adjacent equal windows at the tail become a new
 			// loop.
-			if n >= 2*l && windowEqual(out[n-2*l:n-l], out[n-l:]) {
+			if n >= 2*l && sameBody(out[n-2*l:n-l], out[n-l:]) {
 				body := make([]Node, l)
 				copy(body, out[n-l:])
 				out = append(out[:n-2*l], NewLoop(2, body))
@@ -72,24 +72,6 @@ func fold(out []Node, maxBody int) []Node {
 			return out
 		}
 	}
-}
-
-// windowEqual compares two equal-length node windows, hashes first.
-func windowEqual(a, b []Node) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Hash() != b[i].Hash() {
-			return false
-		}
-	}
-	for i := range a {
-		if !sameNode(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // seqLeaves returns the signature length of a sequence: leaves with loop
