@@ -139,10 +139,11 @@ type Cluster struct {
 	Scenario Scenario
 	Engine   *sim.Engine
 	cpus     []*sim.CPU
-	up       []*sim.Resource // node -> switch
-	down     []*sim.Resource // switch -> node
-	worlds   int             // worlds launched, for deterministic world naming
-	msgs     int64           // messages started, for causal-probe identity
+	up       []*sim.Resource   // node -> switch
+	down     []*sim.Resource   // switch -> node
+	paths    [][]*sim.Resource // paths[src] holds up[src], down[dst] at 2*dst, for Path
+	worlds   int               // worlds launched, for deterministic world naming
+	msgs     int64             // messages started, for causal-probe identity
 }
 
 // NextWorldID numbers the worlds co-scheduled on this cluster, starting
@@ -191,6 +192,15 @@ func BuildProbed(topo Topology, sc Scenario, sink telemetry.Sink) *Cluster {
 		c.up = append(c.up, eng.NewResource(fmt.Sprintf("up%d", i), bw))
 		c.down = append(c.down, eng.NewResource(fmt.Sprintf("down%d", i), bw))
 	}
+	n := len(topo.Nodes)
+	flat := make([]*sim.Resource, 2*n*n)
+	for src := 0; src < n; src++ {
+		row := flat[2*n*src : 2*n*(src+1)]
+		for dst := 0; dst < n; dst++ {
+			row[2*dst], row[2*dst+1] = c.up[src], c.down[dst]
+		}
+		c.paths = append(c.paths, row)
+	}
 	// Spawn load daemons in node order: proc ids are assigned in spawn
 	// order and same-time scheduling is id-ordered, so iterating the map
 	// directly would let map order leak into the simulation.
@@ -222,7 +232,6 @@ func BuildProbed(topo Topology, sc Scenario, sink telemetry.Sink) *Cluster {
 		if rng == nil {
 			rng = rand.New(rand.NewSource(t.Seed))
 		}
-		n := len(topo.Nodes)
 		if sink != nil {
 			sink.ContenderStart(telemetry.ContenderTraffic, -1, "crosstraffic")
 		}
@@ -258,12 +267,13 @@ func (c *Cluster) CPU(i int) *sim.CPU { return c.cpus[i] }
 
 // Path returns the network resources a message from node src to node dst
 // crosses: src's uplink and dst's downlink. Intra-node transfers cross
-// nothing (modelled as latency only).
+// nothing (modelled as latency only). The slice is shared by every
+// message between the pair and must not be modified.
 func (c *Cluster) Path(src, dst int) []*sim.Resource {
 	if src == dst {
 		return nil
 	}
-	return []*sim.Resource{c.up[src], c.down[dst]}
+	return c.paths[src][2*dst : 2*dst+2 : 2*dst+2]
 }
 
 // Latency returns the base one-way message latency in seconds.

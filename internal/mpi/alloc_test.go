@@ -1,0 +1,45 @@
+package mpi
+
+import (
+	"testing"
+
+	"perfskel/internal/cluster"
+)
+
+// pingPong runs rounds 1 KiB round trips between two ranks on a dedicated
+// two-node cluster.
+func pingPong(rounds int) {
+	cl := cluster.Build(cluster.Testbed(2), cluster.Dedicated())
+	_, err := Run(cl, 2, Config{}, nil, func(c *Comm) {
+		for i := 0; i < rounds; i++ {
+			if c.Rank() == 0 {
+				c.Send(1, 1, 1024)
+				c.Recv(1, 2)
+			} else {
+				c.Recv(0, 1)
+				c.Send(0, 2, 1024)
+			}
+		}
+	})
+	if err != nil {
+		panic(err)
+	}
+}
+
+// TestPingPongAllocBudget pins the per-message allocation budget of the
+// point-to-point path. A round trip is two messages, and each message
+// costs five allocations: the send and receive Requests (completion
+// event embedded), the in-flight message, and the latency and flow
+// completion callbacks. The route comes from the cluster's path cache
+// and the first waiter sits inline in the event. Subtracting a short run
+// from a long one cancels the set-up cost.
+func TestPingPongAllocBudget(t *testing.T) {
+	const short, long, runs = 200, 600, 5
+	a := testing.AllocsPerRun(runs, func() { pingPong(short) })
+	b := testing.AllocsPerRun(runs, func() { pingPong(long) })
+	perRound := (b - a) / (long - short)
+	t.Logf("%.3f allocs/round trip", perRound)
+	if perRound > 10.05 {
+		t.Fatalf("ping-pong allocates %.2f allocs/round trip, want <= 10", perRound)
+	}
+}

@@ -26,7 +26,7 @@ type Request struct {
 	peer  int
 	tag   int
 	bytes int64
-	done  *sim.Event
+	done  sim.Event // completion, embedded so a request is one allocation
 	st    Status
 	m     *message // matched message, for transfer-window attribution
 }
@@ -145,7 +145,7 @@ func (c *Comm) isendRaw(dst, tag int, bytes int64) *Request {
 	}
 	c.overhead()
 	w := c.w
-	req := &Request{op: OpIsend, peer: dst, tag: tag, bytes: bytes, done: w.cl.Engine.NewEvent()}
+	req := &Request{op: OpIsend, peer: dst, tag: tag, bytes: bytes}
 	m := &message{
 		src: c.rank, dst: dst, tag: tag, bytes: bytes,
 		eager: bytes <= w.cfg.EagerThreshold,
@@ -177,7 +177,7 @@ func (c *Comm) irecvRaw(src, tag int) *Request {
 	}
 	c.overhead()
 	w := c.w
-	req := &Request{op: OpIrecv, peer: src, tag: tag, done: w.cl.Engine.NewEvent()}
+	req := &Request{op: OpIrecv, peer: src, tag: tag}
 	st := c.state()
 	for i, m := range st.pending {
 		if match(req, m) {
@@ -201,7 +201,7 @@ func (c *Comm) waitRaw(req *Request) Status {
 	if probed {
 		t0 = c.Now()
 	}
-	st.proc.WaitEventReason(req.done,
+	st.proc.WaitEventReason(&req.done,
 		sim.WaitReason(c.rank, req.op.String(), req.peer, req.tag, req.bytes))
 	if probed {
 		t1 := c.Now()
