@@ -28,18 +28,19 @@ func pingPong(rounds int) {
 
 // TestPingPongAllocBudget pins the per-message allocation budget of the
 // point-to-point path. A round trip is two messages, and each message
-// costs five allocations: the send and receive Requests (completion
-// event embedded), the in-flight message, and the latency and flow
-// completion callbacks. The route comes from the cluster's path cache
-// and the first waiter sits inline in the event. Subtracting a short run
-// from a long one cancels the set-up cost.
+// costs three allocations: the in-flight message (the sender's Request
+// and its completion event embedded), its one transfer callback, which
+// starts the flow after the latency and delivers after the flow, and the
+// receive Request. The route comes from the cluster's path cache and the
+// first waiter sits inline in the event. Subtracting a short run from a
+// long one cancels the set-up cost.
 func TestPingPongAllocBudget(t *testing.T) {
 	const short, long, runs = 200, 600, 5
 	a := testing.AllocsPerRun(runs, func() { pingPong(short) })
 	b := testing.AllocsPerRun(runs, func() { pingPong(long) })
 	perRound := (b - a) / (long - short)
 	t.Logf("%.3f allocs/round trip", perRound)
-	if perRound > 10.05 {
-		t.Fatalf("ping-pong allocates %.2f allocs/round trip, want <= 10", perRound)
+	if perRound > 6.05 {
+		t.Fatalf("ping-pong allocates %.2f allocs/round trip, want <= 6", perRound)
 	}
 }

@@ -40,13 +40,25 @@ func (r *Request) Done() bool { return r.done.Fired() }
 // message is an in-flight point-to-point message. Matching is performed
 // eagerly on envelope announcement (control traffic is not modelled);
 // payload transfer pays latency plus a bandwidth-shared flow.
+//
+// The sender's request is embedded, so posting a send allocates one
+// struct; the transfer's single completion callback (next) is the only
+// other per-message allocation on the sending side.
 type message struct {
 	src, dst, tag int
 	bytes         int64
 	eager         bool
 	arrived       bool     // payload fully delivered
-	sreq          *Request // sender's request
+	sreq          Request  // sender's request
 	rreq          *Request // matched receive, nil until matched
+
+	// Transfer state, set by startTransfer: the world to deliver into,
+	// the crossbar path, whether the flow has started, and next, the
+	// bound m.step both engine completions call.
+	w       *World
+	path    []*sim.Resource
+	flowing bool
+	next    func()
 
 	// id identifies the message to the causal probe; assigned when the
 	// transfer starts, zero before.
@@ -70,25 +82,31 @@ func match(req *Request, m *message) bool {
 // needs it to anchor the transfer edge on the right rank's timeline.
 func (w *World) startTransfer(m *message, by int) {
 	src, dst := w.ranks[m.src].node, w.ranks[m.dst].node
-	path := w.cl.Path(src, dst)
 	lat := w.cl.PathLatency(src, dst)
 	if src == dst {
 		lat = w.cfg.SelfLatency
 	}
 	eng := w.cl.Engine
+	m.w, m.path, m.next = w, w.cl.Path(src, dst), m.step
 	m.xferStart = eng.Now()
 	if w.cp != nil {
 		m.id = w.cl.NextMsgID()
 		w.cp.MsgStart(m.id, m.src, m.dst, src, dst, m.tag, m.bytes,
 			w.msgPath(m), m.tag >= collTagBase, by, m.xferStart)
 	}
-	eng.After(lat, func() {
-		if len(path) == 0 {
-			w.delivered(m)
-			return
-		}
-		eng.StartFlow(path, float64(m.bytes), func() { w.delivered(m) })
-	})
+	eng.After(lat, m.next)
+}
+
+// step is m's transfer callback. Its first call ends the latency and
+// starts the bandwidth-shared flow; the call that ends the flow (or the
+// first, on an empty path) delivers the payload.
+func (m *message) step() {
+	if m.flowing || len(m.path) == 0 {
+		m.w.delivered(m)
+		return
+	}
+	m.flowing = true
+	m.w.cl.Engine.StartFlow(m.path, float64(m.bytes), m.next)
 }
 
 // msgPath labels a message's protocol path for the causal probe.
@@ -145,12 +163,12 @@ func (c *Comm) isendRaw(dst, tag int, bytes int64) *Request {
 	}
 	c.overhead()
 	w := c.w
-	req := &Request{op: OpIsend, peer: dst, tag: tag, bytes: bytes}
 	m := &message{
 		src: c.rank, dst: dst, tag: tag, bytes: bytes,
 		eager: bytes <= w.cfg.EagerThreshold,
-		sreq:  req,
+		sreq:  Request{op: OpIsend, peer: dst, tag: tag, bytes: bytes},
 	}
+	req := &m.sreq
 	req.m = m
 	if m.eager {
 		// Eager: payload leaves immediately, the send buffer is considered

@@ -84,6 +84,39 @@ func steadyComponentsRun(iters int, probe telemetry.SimProbe) int {
 	return e.Stats().Events
 }
 
+// steadyTimersRun is the timer-heavy counterpart: sixteen procs sleep
+// quantized delays, so many deadlines coincide, and after each sleep arm
+// an After callback on a deadline every proc waking at the same instant
+// shares, then block in a Compute(0). Most events complete batches of
+// timers popped from the heap and merged by id; the heap and the merge
+// must reuse their backing arrays.
+func steadyTimersRun(iters int, probe telemetry.SimProbe) int {
+	const procs = 16
+	e := New()
+	if probe != nil {
+		e.SetProbe(probe)
+	}
+	cpu := e.NewCPU("n0", 4, 1)
+	fired := 0
+	tick := func() { fired++ }
+	for p := 0; p < procs; p++ {
+		e.Spawn("p", false, func(pr *Proc) {
+			for it := 0; it < iters; it++ {
+				pr.Sleep(50e-6 * float64(1+(p+it)%4))
+				e.After(100e-6, tick)
+				pr.Compute(cpu, 0)
+				if it%4 == 0 {
+					pr.Compute(cpu, 20e-6)
+				}
+			}
+		})
+	}
+	if err := e.Run(); err != nil {
+		panic(err)
+	}
+	return e.Stats().Events
+}
+
 // marginalAllocs returns the average allocations attributable to the
 // extra events between a short and a long run of the same workload. The
 // subtraction cancels all setup cost (engine, procs, goroutines, pool and
@@ -119,8 +152,8 @@ func marginalAllocs(t *testing.T, run func(int, telemetry.SimProbe) int, probe f
 // allocation per simulation event is zero. The small tolerance absorbs
 // runtime-internal noise (sudog cache refills, timer machinery), not
 // engine allocations — one real per-event allocation would show up as
-// a full 1.0. Both the single-path workload and the multi-component one
-// must hold it.
+// a full 1.0. The single-path workload, the multi-component one and the
+// timer-heavy one must all hold it.
 func TestSteadyStateAllocFreeProbeOff(t *testing.T) {
 	for _, w := range []struct {
 		name string
@@ -128,6 +161,7 @@ func TestSteadyStateAllocFreeProbeOff(t *testing.T) {
 	}{
 		{"shared path", steadyAllocRun},
 		{"components", steadyComponentsRun},
+		{"timers", steadyTimersRun},
 	} {
 		perEvent := marginalAllocs(t, w.run, nil)
 		if perEvent > 0.05 {

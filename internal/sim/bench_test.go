@@ -228,3 +228,84 @@ func BenchmarkSimFlowScale(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 	b.ReportMetric(float64(events)/float64(b.N), "events/op")
 }
+
+// runLatencyScale drives the shape the mpi layer gives every message at
+// rank scale: 64 single-processor nodes with one proc each. Every
+// iteration a proc computes, then sends to proc i XOR 2^k through a
+// latency timer whose callback starts the flow (mpi's After(lat) +
+// StartFlow), waits for its own inbound payload and meets the others at
+// a barrier. Up to 64 latency timers are pending at once next to the
+// compute tasks and flows.
+func runLatencyScale(iters int) Stats {
+	const procs = 64
+	e := New()
+	cpus := make([]*CPU, procs)
+	up := make([]*Resource, procs)
+	down := make([]*Resource, procs)
+	for i := 0; i < procs; i++ {
+		cpus[i] = e.NewCPU(fmt.Sprintf("node%d", i), 1, 1)
+		up[i] = e.NewResource(fmt.Sprintf("up%d", i), 125e6)
+		down[i] = e.NewResource(fmt.Sprintf("down%d", i), 125e6)
+	}
+	paths := make([][]*Resource, procs*procs)
+	for s := 0; s < procs; s++ {
+		for d := 0; d < procs; d++ {
+			paths[s*procs+d] = []*Resource{up[s], down[d]}
+		}
+	}
+	barCount := 0
+	barEv := e.NewEvent()
+	barrier := func(p *Proc) {
+		barCount++
+		if barCount == procs {
+			barCount = 0
+			old := barEv
+			barEv = e.NewEvent()
+			old.Fire()
+			return
+		}
+		p.WaitEvent(barEv, "barrier")
+	}
+	inbox := make([]*Event, procs)
+	for i := range inbox {
+		inbox[i] = e.NewEvent()
+	}
+	for i := 0; i < procs; i++ {
+		// send is the latency timer's callback; the proc sets dst and
+		// bytes before arming it and changes them only after the
+		// barrier, by which time the flow has started.
+		var (
+			bytes float64
+			dst   int
+		)
+		send := func() { e.StartFlow(paths[i*procs+dst], bytes, inbox[dst].Fire) }
+		e.Spawn(fmt.Sprintf("rank%d", i), false, func(p *Proc) {
+			for it := 0; it < iters; it++ {
+				jit := 1 + 0.02*float64((i*31+it*17)%7-3)
+				p.Compute(cpus[i], 0.0005*jit)
+				dst = i ^ (1 << (it % 6))
+				bytes = 64e3 * jit
+				e.After(50e-6, send)
+				p.WaitEvent(inbox[i], "recv")
+				inbox[i] = e.NewEvent()
+				barrier(p)
+			}
+		})
+	}
+	if err := e.Run(); err != nil {
+		panic(err)
+	}
+	return e.Stats()
+}
+
+// BenchmarkSimLatencyScale reports ns per simulation event for the
+// 64-proc latency-plus-flow mix of runLatencyScale, probe off.
+func BenchmarkSimLatencyScale(b *testing.B) {
+	b.ReportAllocs()
+	events := 0
+	for i := 0; i < b.N; i++ {
+		events += runLatencyScale(20).Events
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+	b.ReportMetric(float64(events)/float64(b.N), "events/op")
+}

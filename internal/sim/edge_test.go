@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -134,14 +135,30 @@ func TestDeadlockErrorMessage(t *testing.T) {
 	}
 }
 
+// TestNegativeDelayPanicsInsideProc also covers NaN: a NaN deadline has
+// no place in the timer heap's order, so After and Sleep reject it.
 func TestNegativeDelayPanicsInsideProc(t *testing.T) {
-	e := New()
-	e.Spawn("p", false, func(p *Proc) {
-		e.After(-1, func() {})
-	})
-	err := e.Run()
-	if err == nil || !strings.Contains(err.Error(), "negative delay") {
-		t.Errorf("err = %v, want negative-delay panic propagated", err)
+	for _, tc := range []struct {
+		delay float64
+		want  string
+	}{
+		{-1, "negative delay"},
+		{math.NaN(), "NaN delay"},
+	} {
+		for _, sleep := range []bool{false, true} {
+			e := New()
+			e.Spawn("p", false, func(p *Proc) {
+				if sleep {
+					p.Sleep(tc.delay)
+				} else {
+					e.After(tc.delay, func() {})
+				}
+			})
+			err := e.Run()
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("delay %v (sleep %v): err = %v, want %q panic propagated", tc.delay, sleep, err, tc.want)
+			}
+		}
 	}
 }
 

@@ -31,13 +31,17 @@
 // components whose flow set or capacities changed: it walks from the
 // dirty resources over the resource->flow->resource graph and refills
 // the flows it reaches, which is exact because filling decomposes over
-// connected components (see computeFlowRates). Task structs are pooled;
-// the ready queue, the task list and the filling's scratch lists reuse
-// their backing arrays. All of it preserves bit-for-bit virtual timings —
-// every floating-point expression the old from-scratch recomputation
-// evaluated per event is either evaluated identically or skipped only
-// when its inputs are provably unchanged (the determinism goldens at the
-// repo root pin this).
+// connected components (see computeFlowRates). Timers, whose deadlines
+// never change, wait in a min-heap instead of the per-event scan of
+// compute and flow tasks (see advance). There is no scheduler goroutine:
+// the proc that blocks runs the event loop itself and resumes the next
+// ready proc directly, or simply continues when it is that proc (see
+// block). Task structs are pooled; the ready queue, the task list, the
+// timer heap and the filling's scratch lists reuse their backing arrays.
+// All of it preserves bit-for-bit virtual timings — every floating-point
+// expression the old from-scratch recomputation evaluated per event is
+// either evaluated identically or skipped only when its inputs are
+// provably unchanged (the determinism goldens at the repo root pin this).
 package sim
 
 import (
@@ -56,7 +60,8 @@ type Engine struct {
 	procs       []*Proc
 	ready       []*Proc     // runnable procs, kept sorted by id
 	readyHead   int         // index of the queue's front within ready
-	tasks       []*task     // active resource-consuming tasks, creation (= id) order
+	tasks       []*task     // active compute and flow tasks, creation (= id) order
+	timers      []*task     // active timers, a min-heap on (deadline, id)
 	dirtyRes    []*Resource // resources whose flows or capacity changed since the last max-min run
 	busyCPUs    []*CPU      // CPU groups with at least one running compute task, any order
 	rateEpoch   uint64      // increments per max-min run; Resource.epoch marks the run's walk
@@ -133,7 +138,7 @@ func (e *Engine) SetProbe(p telemetry.SimProbe) {
 // abortCheckInterval is how many scheduler iterations pass between
 // context checks: frequent enough that an abandoned simulation stops
 // within microseconds of real time, sparse enough that the check is
-// invisible next to the per-event channel handoffs.
+// invisible next to the per-event work.
 const abortCheckInterval = 64
 
 // SetContext attaches a cancellation context to the engine. Run checks
@@ -200,6 +205,11 @@ func (p *Proc) Now() float64 { return p.eng.now }
 // (such as competing load processes) do not keep the simulation alive: Run
 // returns once every non-daemon process has finished. Spawn must be called
 // before Run.
+//
+// Each process runs on its own goroutine, which also drives the event
+// loop whenever the process blocks, and once more when body returns: it
+// then hands control to the next ready process (or back to Run) and
+// exits. A panic in body fails the run with an error naming the process.
 func (e *Engine) Spawn(name string, daemon bool, body func(p *Proc)) *Proc {
 	if e.ran {
 		panic("sim: Spawn after Run")
@@ -219,7 +229,7 @@ func (e *Engine) Spawn(name string, daemon bool, body func(p *Proc)) *Proc {
 		e.probe.ProcSpawn(p.id, name, daemon)
 	}
 	e.wg.Add(1)
-	//skelvet:ignore nondeterminism proc goroutines are the coroutine substrate: handoff via unbuffered yield/resume channels keeps exactly one runnable at a time
+	//skelvet:ignore nondeterminism proc goroutines are the coroutine substrate: a proc runs only after an unbuffered resume send and hands control on with one before it parks or exits, so exactly one goroutine executes engine state at a time
 	go func() {
 		defer e.wg.Done()
 		<-p.resume
@@ -246,7 +256,7 @@ func (e *Engine) Spawn(name string, daemon bool, body func(p *Proc)) *Proc {
 		if e.probe != nil {
 			e.probe.ProcDone(e.now, p.id)
 		}
-		e.yield <- struct{}{}
+		e.handoff(e.next())
 	}()
 	return p
 }
@@ -260,15 +270,14 @@ var errStopped = fmt.Errorf("sim: engine stopped")
 // probe or an actual deadlock report. Must be called from the proc's own
 // goroutine while it is the running proc.
 //
-// When another proc is already runnable, the blocking proc resumes it
-// directly instead of bouncing through the scheduler goroutine: one
-// channel handoff per proc switch instead of two. All engine-state
-// mutations happen before the resume send, so the woken proc has
-// exclusive access the moment it runs; the blocker's remaining code only
-// parks on its own private channel. Control returns to the scheduler
-// exactly when it has work: the ready queue drained (time must advance or
-// a deadlock be reported), a failure was recorded, or the attached
-// context fired.
+// The blocking proc drives the event loop itself: it runs next on its
+// own goroutine, advancing virtual time until some proc is ready. When
+// that proc is the caller (its own task completed first), block returns
+// without any channel operation. Otherwise it hands control to the next
+// proc with one resume send, or to Run with a yield send when the run is
+// over, and parks on its private channel. All engine-state mutations
+// happen before the send, so the woken goroutine has exclusive access
+// the moment it runs.
 func (p *Proc) block(r Reason) {
 	p.reason = r
 	p.parked = true
@@ -276,22 +285,24 @@ func (p *Proc) block(r Reason) {
 	if e.probe != nil {
 		e.probe.ProcBlock(e.now, p.id, e.reasonText(r))
 	}
-	if e.failure == nil && e.readyHead < len(e.ready) {
-		if e.aborted() {
-			e.failure = fmt.Errorf("sim: run aborted at t=%.6f: %w", e.now, e.abortCtx.Err())
-			e.yield <- struct{}{}
-		} else {
-			next := e.popReady()
-			next.resume <- struct{}{}
+	if next := e.next(); next != p {
+		e.handoff(next)
+		<-p.resume
+		if e.stopped {
+			panic(errStopped)
 		}
-	} else {
-		e.yield <- struct{}{}
-	}
-	<-p.resume
-	if e.stopped {
-		panic(errStopped)
 	}
 	p.reason = Reason{}
+}
+
+// handoff passes control from the running goroutine to next, or back to
+// Run when next is nil (the run is over).
+func (e *Engine) handoff(next *Proc) {
+	if next == nil {
+		e.yield <- struct{}{}
+		return
+	}
+	next.resume <- struct{}{}
 }
 
 // reasonText renders a block reason for the probe. Static reasons (the
@@ -376,8 +387,13 @@ func (d *DeadlockError) Error() string {
 }
 
 // Run executes the simulation until every non-daemon process finishes. It
-// returns a *DeadlockError if no progress is possible, or the panic of any
-// process converted to an error. Run may be called only once.
+// returns a *DeadlockError if no progress is possible, the panic of any
+// process converted to an error, or an event-loop error if a completion
+// callback panicked. Run may be called only once.
+//
+// Run starts the first proc and then waits: from there on the event loop
+// is driven by whichever proc blocks or exits (see block), and control
+// returns to Run exactly once, when next reports the run over.
 func (e *Engine) Run() error {
 	if e.ran {
 		panic("sim: Run called twice")
@@ -388,24 +404,36 @@ func (e *Engine) Run() error {
 		p.parked = true
 		e.wake(p)
 	}
+	if p := e.next(); p != nil {
+		p.resume <- struct{}{}
+		<-e.yield
+	}
+	e.shutdown()
+	return e.failure
+}
+
+// next runs the event loop until a proc is ready and returns it, popped
+// from the ready queue, or returns nil when the run is over: a failure
+// was recorded, every non-daemon proc finished, the attached context
+// fired, the remaining procs deadlocked, or the clock passed
+// MaxVirtualTime. It runs on the goroutine that currently holds control
+// (a blocking or exiting proc, or Run before the first proc starts).
+func (e *Engine) next() *Proc {
 	for {
 		if e.failure != nil {
-			break
+			return nil
 		}
 		if e.alive == 0 {
-			break
+			return nil
 		}
 		if e.aborted() {
 			e.failure = fmt.Errorf("sim: run aborted at t=%.6f: %w", e.now, e.abortCtx.Err())
-			break
+			return nil
 		}
 		if e.readyHead < len(e.ready) {
-			p := e.popReady()
-			p.resume <- struct{}{}
-			<-e.yield
-			continue
+			return e.popReady()
 		}
-		if len(e.tasks) == 0 {
+		if len(e.tasks) == 0 && len(e.timers) == 0 {
 			var blocked []string
 			for _, p := range e.procs {
 				if !p.done && !p.daemon {
@@ -413,16 +441,28 @@ func (e *Engine) Run() error {
 				}
 			}
 			e.failure = &DeadlockError{Time: e.now, Blocked: blocked}
-			break
+			return nil
 		}
 		if e.MaxVirtualTime > 0 && e.now > e.MaxVirtualTime {
 			e.failure = fmt.Errorf("sim: virtual time %.3f exceeded limit %.3f", e.now, e.MaxVirtualTime)
-			break
+			return nil
 		}
-		e.advance()
+		e.step()
 	}
-	e.shutdown()
-	return e.failure
+}
+
+// step runs one advance, turning a panic raised inside it — by a
+// completion callback, or by the engine's own consistency checks — into
+// the run's failure. The panic belongs to the event loop, not to the
+// proc whose goroutine happens to be driving it, so it is recovered here
+// before it can unwind into (or be swallowed by) that proc's body.
+func (e *Engine) step() {
+	defer func() {
+		if r := recover(); r != nil {
+			e.failure = fmt.Errorf("sim: event loop panicked at t=%.6f: %v", e.now, r)
+		}
+	}()
+	e.advance()
 }
 
 // shutdown unwinds every still-parked process so its goroutine exits, then
@@ -431,8 +471,9 @@ func (e *Engine) shutdown() {
 	e.stopped = true
 	// Every unfinished proc is blocked on <-p.resume: either parked inside
 	// block(), sitting in the ready queue, or not yet resumed for the first
-	// time. A blocking send reaches each of them exactly once; they observe
-	// e.stopped and unwind.
+	// time; the goroutine that ended the run sent its yield and parked
+	// the same way, unless its body had returned. A blocking send reaches
+	// each of them exactly once; they observe e.stopped and unwind.
 	for _, p := range e.procs {
 		if !p.done {
 			p.parked = false

@@ -200,10 +200,70 @@ func (e *Engine) release(t *task) {
 	e.taskPool = append(e.taskPool, t)
 }
 
+// addTask numbers t and enters it into the active set: timers into the
+// deadline heap, compute and flow tasks into e.tasks.
 func (e *Engine) addTask(t *task) {
 	e.taskSeq++
 	t.id = e.taskSeq
+	if t.kind == taskTimer {
+		e.pushTimer(t)
+		return
+	}
 	e.tasks = append(e.tasks, t)
+}
+
+// timerBefore orders the timer heap: earlier deadline first, creation
+// order among equal deadlines.
+func timerBefore(a, b *task) bool {
+	return a.deadline < b.deadline || a.deadline == b.deadline && a.id < b.id
+}
+
+// pushTimer adds t to the timer heap, sifting it up from the end.
+func (e *Engine) pushTimer(t *task) {
+	h := append(e.timers, t)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !timerBefore(t, h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = t
+	e.timers = h
+}
+
+// popTimer removes and returns the heap's earliest timer, sifting the
+// last entry down from the root. The backing array is kept, so the
+// steady state allocates nothing.
+func (e *Engine) popTimer() *task {
+	h := e.timers
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = nil
+	h = h[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if c+1 < n && timerBefore(h[c+1], h[c]) {
+				c++
+			}
+			if !timerBefore(h[c], last) {
+				break
+			}
+			h[i] = h[c]
+			i = c
+		}
+		h[i] = last
+	}
+	e.timers = h
+	return top
 }
 
 // StartCompute begins a compute task of the given amount of work (in
@@ -310,9 +370,7 @@ func pathName(path []*Resource) string {
 // After schedules onDone to run in scheduler context after delay seconds of
 // virtual time.
 func (e *Engine) After(delay float64, onDone func()) {
-	if delay < 0 {
-		panic("sim: negative delay")
-	}
+	checkDelay(delay)
 	t := e.newTask()
 	t.kind = taskTimer
 	t.deadline = e.now + delay
@@ -320,6 +378,18 @@ func (e *Engine) After(delay float64, onDone func()) {
 	e.addTask(t)
 	if e.probe != nil {
 		e.probe.TaskStart(e.now, t.id, telemetry.TaskTimer, "", delay)
+	}
+}
+
+// checkDelay rejects timer delays that have no place on the clock: a
+// negative delay would run time backwards, and a NaN deadline has no
+// position in the timer heap's order.
+func checkDelay(d float64) {
+	if d < 0 {
+		panic("sim: negative delay")
+	}
+	if math.IsNaN(d) {
+		panic("sim: NaN delay")
 	}
 }
 
@@ -363,9 +433,7 @@ func (p *Proc) Compute(cpu *CPU, work float64) {
 
 // Sleep blocks the calling process for d seconds of virtual time.
 func (p *Proc) Sleep(d float64) {
-	if d < 0 {
-		panic("sim: negative delay")
-	}
+	checkDelay(d)
 	e := p.eng
 	t := e.newTask()
 	t.kind = taskTimer
@@ -565,11 +633,21 @@ func (e *Engine) emitUtilisation() {
 // the completion callbacks in task-creation order. Must only be called when
 // no process is runnable and at least one task is active.
 //
+// Compute and flow tasks are scanned every event, since their time to
+// completion changes with their rates. Timers are not: a timer's time to
+// completion is fl(deadline - now), which is monotone in the deadline, so
+// the heap's top yields the same minimum a scan would, and popping while
+// the top is within the completion cutoff yields exactly the timers a
+// scan would complete. The popped timers are then merged into the
+// completion batch by task id, so callbacks and wakes run in the same
+// order as if every task had been scanned.
+//
 // The loop is allocation-free: completions collect into a reused scratch
 // slice, survivors compact e.tasks in place (the write index never passes
-// the read index), and finished tasks return to the pool. e.tasks is
-// append-only between compactions, so it stays sorted by task id and the
-// former per-event sort of the completion batch is unnecessary.
+// the read index), the heap keeps its backing array, and finished tasks
+// return to the pool. e.tasks is append-only between compactions, so it
+// stays sorted by task id; only a batch that includes timers needs
+// sorting.
 func (e *Engine) advance() {
 	if len(e.dirtyRes) > 0 {
 		e.computeFlowRates()
@@ -582,16 +660,18 @@ func (e *Engine) advance() {
 	dt := math.Inf(1)
 	for _, t := range e.tasks {
 		var d float64
-		switch t.kind {
-		case taskTimer:
-			d = t.deadline - e.now
-		case taskCompute:
+		if t.kind == taskCompute {
 			d = t.remaining / t.cpu.rate
-		default:
+		} else {
 			d = t.remaining / t.rate
 		}
 		t.due = d
 		if d < dt {
+			dt = d
+		}
+	}
+	if len(e.timers) > 0 {
+		if d := e.timers[0].deadline - e.now; d < dt {
 			dt = d
 		}
 	}
@@ -623,10 +703,9 @@ func (e *Engine) advance() {
 			}
 			completed = append(completed, t)
 		} else {
-			switch t.kind {
-			case taskCompute:
+			if t.kind == taskCompute {
 				t.remaining -= t.cpu.rate * dt
-			case taskFlow:
+			} else {
 				t.remaining -= t.rate * dt
 				for _, r := range t.path {
 					r.bytes += t.rate * dt
@@ -640,6 +719,14 @@ func (e *Engine) advance() {
 		e.tasks[i] = nil
 	}
 	e.tasks = e.tasks[:keep]
+	n := len(completed)
+	for len(e.timers) > 0 && e.timers[0].deadline-e.now <= cutoff {
+		completed = append(completed, e.popTimer())
+	}
+	if len(completed) > n {
+		// Timers pop in deadline order; restore creation order.
+		slices.SortFunc(completed, func(a, b *task) int { return cmp.Compare(a.id, b.id) })
+	}
 	e.now += dt
 	e.completions += len(completed)
 	for _, t := range completed {

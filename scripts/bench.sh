@@ -11,18 +11,21 @@ cd "$(dirname "$0")/.."
 count="${BENCH_COUNT:-5}"
 
 # Simulation core: the CG/MG-shaped event mix (probe off and on), the
-# pure compute/sleep steady state and the 64-node flow mix (permutation
-# exchange plus gather), in ns per simulation event and allocations per
-# event. The seed_* baselines are the same benchmarks measured at the
-# pre-optimization seed (full rate recomputation, per-event allocations,
-# scheduler round trips) — for the 64-node mix, at the engine that still
-# refilled every flow on each flow start or finish; they are constants
-# here so the report always shows the before/after next to each other.
-# Writes BENCH_sim.json.
+# pure compute/sleep steady state, the 64-node flow mix (permutation
+# exchange plus gather) and the 64-proc latency mix (compute, then a
+# latency timer that starts a flow), in ns per simulation event and
+# allocations per event. The seed_* baselines are the same benchmarks
+# measured at the pre-optimization seed (full rate recomputation,
+# per-event allocations, scheduler round trips) — for the 64-node mix,
+# at the engine that still refilled every flow on each flow start or
+# finish, and for the latency mix, at the engine that still scanned
+# every timer per event and ran the loop on a scheduler goroutine; they
+# are constants here so the report always shows the before/after next
+# to each other. Writes BENCH_sim.json.
 out=BENCH_sim.json
 
-echo "==> go test -bench SimMixOff/On + SimSteadyCompute + SimFlowScale (count=$count)"
-go test -run xxx -bench 'BenchmarkSim(MixOff|MixOn|SteadyCompute|FlowScale)$' \
+echo "==> go test -bench SimMixOff/On + SimSteadyCompute + SimFlowScale + SimLatencyScale (count=$count)"
+go test -run xxx -bench 'BenchmarkSim(MixOff|MixOn|SteadyCompute|FlowScale|LatencyScale)$' \
     -benchmem -count "$count" "$@" ./internal/sim/ | tee /tmp/bench_sim.txt
 
 awk '
@@ -31,31 +34,35 @@ function metric(unit,   i) { for (i = 1; i <= NF; i++) if ($i == unit) return $(
 /^BenchmarkSimMixOn/         { on  += metric("ns/event");  ona  += metric("allocs/op") / metric("events/op"); non++ }
 /^BenchmarkSimSteadyCompute/ { st  += metric("ns/event");  nst++ }
 /^BenchmarkSimFlowScale/     { sc  += metric("ns/event");  nsc++ }
+/^BenchmarkSimLatencyScale/  { lt  += metric("ns/event");  nlt++ }
 END {
-    if (noff == 0 || non == 0 || nst == 0 || nsc == 0) { print "no benchmark output" > "/dev/stderr"; exit 1 }
+    if (noff == 0 || non == 0 || nst == 0 || nsc == 0 || nlt == 0) { print "no benchmark output" > "/dev/stderr"; exit 1 }
     # Pre-optimization seed, measured with these same benchmarks against
     # the seed engine on the reference machine.
     seed_off = 2080; seed_off_allocs = 11.34; seed_on = 3312; seed_steady = 1612
-    seed_scale64 = 1147
-    moff = off / noff; mon = on / non; mst = st / nst; msc = sc / nsc
+    seed_scale64 = 1147; seed_latency64 = 749
+    moff = off / noff; mon = on / non; mst = st / nst; msc = sc / nsc; mlt = lt / nlt
     printf "{\n"
-    printf "  \"benchmark\": \"sim event loop: CG/MG-shaped mix (8 procs, 4 nodes, flows+barriers), probe off/on; 64-node flow mix (permutation + gather), probe off\",\n"
+    printf "  \"benchmark\": \"sim event loop: CG/MG-shaped mix (8 procs, 4 nodes, flows+barriers), probe off/on; 64-node flow mix (permutation + gather), probe off; 64-proc latency mix (compute, latency timer, flow), probe off\",\n"
     printf "  \"runs\": %d,\n", noff
     printf "  \"seed_mix_off_ns_event\": %d,\n", seed_off
     printf "  \"seed_mix_off_allocs_event\": %.2f,\n", seed_off_allocs
     printf "  \"seed_mix_on_ns_event\": %d,\n", seed_on
     printf "  \"seed_steady_ns_event\": %d,\n", seed_steady
     printf "  \"seed_scale64_ns_event\": %d,\n", seed_scale64
+    printf "  \"seed_latency64_ns_event\": %d,\n", seed_latency64
     printf "  \"mix_off_ns_event\": %.1f,\n", moff
     printf "  \"mix_off_allocs_event\": %.3f,\n", offa / noff
     printf "  \"mix_on_ns_event\": %.1f,\n", mon
     printf "  \"mix_on_allocs_event\": %.3f,\n", ona / non
     printf "  \"steady_ns_event\": %.1f,\n", mst
     printf "  \"scale64_ns_event\": %.1f,\n", msc
+    printf "  \"latency64_ns_event\": %.1f,\n", mlt
     printf "  \"mix_off_speedup\": %.2f,\n", seed_off / moff
     printf "  \"mix_on_speedup\": %.2f,\n", seed_on / mon
     printf "  \"steady_speedup\": %.2f,\n", seed_steady / mst
     printf "  \"scale64_speedup\": %.2f,\n", seed_scale64 / msc
+    printf "  \"latency64_speedup\": %.2f,\n", seed_latency64 / mlt
     printf "  \"probe_overhead_ns_event\": %.1f,\n", mon - moff
     printf "  \"probe_overhead_pct\": %.2f\n", 100 * (mon - moff) / moff
     printf "}\n"
