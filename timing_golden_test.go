@@ -63,6 +63,9 @@ type timingGolden struct {
 	Cells      []timingCell `json:"cells"`
 	MergedSHA  string       `json:"merged_perfetto_sha256"`
 	ScaleCells []timingCell `json:"scale_cells"`
+	// ConstructCells pins trace -> skeleton construction; see
+	// TestConstructGolden.
+	ConstructCells []constructCell `json:"construct_cells"`
 }
 
 func bits(f float64) string { return fmt.Sprintf("%016x", math.Float64bits(f)) }
@@ -180,30 +183,53 @@ func compareTimingCells(t *testing.T, got, want []timingCell) {
 func TestSimTimingGolden(t *testing.T) {
 	got := runTimingGrid(t)
 	if *timingUpdate {
-		out, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll(filepath.Dir(timingGoldenPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(timingGoldenPath, append(out, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s", timingGoldenPath)
+		updateTimingGolden(t, func(g *timingGolden) {
+			g.Cells, g.MergedSHA, g.ScaleCells = got.Cells, got.MergedSHA, got.ScaleCells
+		})
 		return
 	}
-	raw, err := os.ReadFile(timingGoldenPath)
-	if err != nil {
-		t.Fatalf("reading golden (regenerate with -timing-update): %v", err)
-	}
-	var want timingGolden
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatal(err)
-	}
+	want := readTimingGolden(t)
 	compareTimingCells(t, got.Cells, want.Cells)
 	compareTimingCells(t, got.ScaleCells, want.ScaleCells)
 	if got.MergedSHA != want.MergedSHA {
 		t.Errorf("merged Perfetto diverged (sha %s, golden %s)", got.MergedSHA, want.MergedSHA)
 	}
+}
+
+// readTimingGolden loads the committed golden file.
+func readTimingGolden(t *testing.T) timingGolden {
+	t.Helper()
+	raw, err := os.ReadFile(timingGoldenPath)
+	if err != nil {
+		t.Fatalf("reading golden (regenerate with -timing-update): %v", err)
+	}
+	var g timingGolden
+	if err := json.Unmarshal(raw, &g); err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// updateTimingGolden rewrites the golden file with one test's sections
+// replaced, keeping the sections other tests own.
+func updateTimingGolden(t *testing.T, set func(*timingGolden)) {
+	t.Helper()
+	var g timingGolden
+	if raw, err := os.ReadFile(timingGoldenPath); err == nil {
+		if err := json.Unmarshal(raw, &g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	set(&g)
+	out, err := json.MarshalIndent(g, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Dir(timingGoldenPath), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(timingGoldenPath, append(out, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("rewrote %s", timingGoldenPath)
 }
