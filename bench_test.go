@@ -211,6 +211,31 @@ func BenchmarkSkeletonBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkConstructScale measures the whole trace-to-skeleton
+// construction of skeleton.BuildFromTrace — the threshold search with
+// clustering, loop folding and K-scaling at every step — on rank-scale's
+// most expensive build: LU class S on 64 ranks at K = 8. The trace is
+// simulated once, outside the timer.
+func BenchmarkConstructScale(b *testing.B) {
+	const ranks = 64
+	app, err := perfskel.NASApp("LU", perfskel.ClassS)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr, _, err := perfskel.NewTestbed(ranks, perfskel.Dedicated()).Trace(ranks, app)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := skeleton.BuildFromTrace(tr, 8, skeleton.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(tr.Len()), "ns/trace-event")
+}
+
 // BenchmarkSkeletonExecute measures running a small skeleton on the
 // simulated testbed.
 func BenchmarkSkeletonExecute(b *testing.B) {

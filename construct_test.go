@@ -1,6 +1,7 @@
 package perfskel_test
 
 import (
+	"math"
 	"testing"
 
 	"perfskel"
@@ -170,5 +171,25 @@ func TestConstructStaticValidation(t *testing.T) {
 		perfskel.WithStaticSource("perfskel/internal/nas"),
 		perfskel.WithStaticApp("NoSuchApp", 4, "S")); err == nil {
 		t.Error("unknown app should fail")
+	}
+}
+
+// TestConstructRejectsNaNTime checks that a trace with a NaN event time
+// fails validation instead of yielding a skeleton.
+func TestConstructRejectsNaNTime(t *testing.T) {
+	tr, _ := constructTrace(t)
+	tr.Events[1][3].End = math.NaN()
+	want := tr.Validate()
+	if want == nil {
+		t.Fatal("Validate accepted a NaN end time")
+	}
+	for _, opts := range [][]perfskel.ConstructOption{
+		{perfskel.WithK(4)},
+		{perfskel.WithK(4), perfskel.WithSignatureOptions(perfskel.SignatureOptions{TargetRatio: 2})},
+	} {
+		skel, _, err := perfskel.Construct(tr, opts...)
+		if err == nil || err.Error() != want.Error() {
+			t.Errorf("Construct = %v, %v; want the validation error %q", skel, err, want)
+		}
 	}
 }

@@ -1,8 +1,9 @@
 package signature
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"perfskel/internal/mpi"
 	"perfskel/internal/trace"
@@ -24,19 +25,21 @@ func keyOf(e trace.Event) hardKey {
 	return hardKey{op: e.Op, sub: e.Sub, peer: e.Peer, peer2: e.Peer2, tag: e.Tag}
 }
 
-func keyLess(a, b hardKey) bool {
-	switch {
-	case a.op != b.op:
-		return a.op < b.op
-	case a.sub != b.sub:
-		return a.sub < b.sub
-	case a.peer != b.peer:
-		return a.peer < b.peer
-	case a.peer2 != b.peer2:
-		return a.peer2 < b.peer2
-	default:
-		return a.tag < b.tag
+// keyCmp orders hard keys by op, sub, peer, peer2 and tag.
+func keyCmp(a, b hardKey) int {
+	if c := cmp.Compare(a.op, b.op); c != 0 {
+		return c
 	}
+	if c := cmp.Compare(a.sub, b.sub); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.peer, b.peer); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.peer2, b.peer2); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.tag, b.tag)
 }
 
 // ranges holds the trace-wide normalisation scales of the soft dimensions
@@ -73,15 +76,165 @@ func rangesOf(tr *trace.Trace) ranges {
 // microsecond resolution; the simulator's only noise is float rounding).
 const durationNoise = 1e-9
 
-// item is one event occurrence awaiting cluster assignment.
+// item is one event occurrence in its hard-key bucket: where the event
+// sits in the trace and its primary soft value (compute duration or
+// message size). It is 16 bytes; a Sendrecv's receive size is read back
+// from the trace when a group is split on it.
 type item struct {
-	rank, idx int
-	v1, v2    float64
+	v1        float64
+	rank, idx int32
 }
 
-// clusterTrace groups the trace's events under the given similarity
-// threshold and returns the per-rank event streams as cluster references
-// (in original order) plus the cluster table.
+// byValue orders items by soft value with the < relation. Trace
+// validation rejects non-finite times, so the values hold no NaN and the
+// order is a strict weak order.
+func byValue(a, b item) int {
+	switch {
+	case a.v1 < b.v1:
+		return -1
+	case b.v1 < a.v1:
+		return 1
+	}
+	return 0
+}
+
+// byValueThenPosition breaks byValue's ties by trace position, rank
+// major: the order a bucket is filled in. Positions are unique, so any
+// sort under it yields exactly the stable sort by value of the filled
+// bucket.
+func byValueThenPosition(a, b item) int {
+	if c := byValue(a, b); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.rank, b.rank); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.idx, b.idx)
+}
+
+// Builder is a trace prepared for clustering at any similarity
+// threshold. Everything that does not depend on the threshold is done
+// once, in NewBuilder: validation, the normalisation scales, bucketing
+// the events by hard key, and sorting each bucket by soft value. Each
+// threshold then only splits the sorted buckets, in one linear pass, and
+// folds the per-rank streams.
+//
+// A Builder reads its trace on every call, so the trace must not change
+// while the Builder is in use, and a Builder is not safe for concurrent
+// use.
+type Builder struct {
+	tr     *trace.Trace
+	events int
+	scale  ranges
+	keys   []hardKey // bucket keys in keyCmp order
+	ends   []int     // ends[i] is where bucket i ends in items
+	// items holds every event, bucket after bucket, each bucket stably
+	// sorted by soft value from rank-major event order.
+	items []item
+	// assign, scratch and fold are per-threshold buffers reused across
+	// thresholds: each event's cluster, a Sendrecv group being split on
+	// its receive size, and the folder's hash arrays.
+	assign  [][]*Cluster
+	scratch []item
+	fold    folder
+}
+
+// NewBuilder validates the trace and prepares it for clustering. It
+// returns ErrEmptyTrace for a trace with no events.
+func NewBuilder(tr *trace.Trace) (*Builder, error) {
+	if err := tr.Validate(); err != nil {
+		return nil, err
+	}
+	n := tr.Len()
+	if n == 0 {
+		return nil, ErrEmptyTrace
+	}
+	b := &Builder{tr: tr, events: n, scale: rangesOf(tr)}
+
+	// Count pass: number the keys in order of first appearance and count
+	// each key's events, remembering every event's key number.
+	ids := make(map[hardKey]int)
+	var keys []hardKey
+	var counts []int
+	keyOfEvent := make([]int32, 0, n)
+	for _, evs := range tr.Events {
+		for _, e := range evs {
+			k := keyOf(e)
+			id, ok := ids[k]
+			if !ok {
+				id = len(keys)
+				ids[k] = id
+				keys = append(keys, k)
+				counts = append(counts, 0)
+			}
+			counts[id]++
+			keyOfEvent = append(keyOfEvent, int32(id))
+		}
+	}
+
+	// Lay the buckets out in key order, then fill them in rank-major
+	// event order and sort each by soft value.
+	order := make([]int, len(keys))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(i, j int) int { return keyCmp(keys[i], keys[j]) })
+	next := make([]int, len(keys)) // fill position of each key's bucket
+	b.keys = make([]hardKey, len(keys))
+	b.ends = make([]int, len(keys))
+	pos := 0
+	for i, id := range order {
+		b.keys[i] = keys[id]
+		next[id] = pos
+		pos += counts[id]
+		b.ends[i] = pos
+	}
+	b.items = make([]item, n)
+	b.assign = make([][]*Cluster, tr.NRanks)
+	j := 0
+	for rank, evs := range tr.Events {
+		b.assign[rank] = make([]*Cluster, len(evs))
+		for idx, e := range evs {
+			v := float64(e.Bytes)
+			if e.IsCompute() {
+				v = e.Duration()
+			}
+			id := keyOfEvent[j]
+			j++
+			b.items[next[id]] = item{v1: v, rank: int32(rank), idx: int32(idx)}
+			next[id]++
+		}
+	}
+	lo := 0
+	for _, hi := range b.ends {
+		slices.SortFunc(b.items[lo:hi], byValueThenPosition)
+		lo = hi
+	}
+	return b, nil
+}
+
+// At builds the signature at one similarity threshold, folding loops
+// with bodies of at most maxBody nodes (DefaultMaxBody if maxBody <= 0).
+func (b *Builder) At(threshold float64, maxBody int) *Signature {
+	clusters := b.cluster(threshold)
+	s := &Signature{
+		NRanks:      b.tr.NRanks,
+		AppTime:     b.tr.AppTime,
+		TraceEvents: b.events,
+		Clusters:    clusters,
+		Threshold:   threshold,
+		PerRank:     make([][]Node, len(b.assign)),
+	}
+	for rank, seq := range b.assign {
+		s.PerRank[rank] = b.fold.compress(seq, maxBody)
+	}
+	s.Ratio = float64(s.TraceEvents) / float64(s.Len())
+	return s
+}
+
+// cluster groups the trace's events under the given similarity threshold.
+// It returns the cluster table and leaves each event's cluster in
+// b.assign, per rank in original order.
 //
 // Clustering is single-linkage on the event's soft parameter (compute
 // duration, or message size) within each hard key: values are sorted and
@@ -91,87 +244,66 @@ type item struct {
 // — which keeps the generated per-rank skeleton programs mutually
 // consistent (mismatched compression across ranks would deadlock the
 // skeleton). Each cluster's parameters are the mean of its members, the
-// paper's "average event".
-func clusterTrace(tr *trace.Trace, threshold float64) ([][]*Cluster, []*Cluster) {
-	r := rangesOf(tr)
-
-	byKey := make(map[hardKey][]item)
-	for rank, evs := range tr.Events {
-		for idx, e := range evs {
-			k := keyOf(e)
-			var it item
-			it.rank, it.idx = rank, idx
-			if e.IsCompute() {
-				it.v1 = e.Duration()
-			} else {
-				it.v1 = float64(e.Bytes)
-				it.v2 = float64(e.Byte2)
-			}
-			byKey[k] = append(byKey[k], it)
-		}
-	}
-
-	keys := make([]hardKey, 0, len(byKey))
-	for k := range byKey {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
-
+// paper's "average event", accumulated in sorted order.
+func (b *Builder) cluster(threshold float64) []*Cluster {
 	var clusters []*Cluster
-	assign := make([][]*Cluster, tr.NRanks)
-	for rank, evs := range tr.Events {
-		assign[rank] = make([]*Cluster, len(evs))
-	}
-
-	for _, k := range keys {
-		items := byKey[k]
-		scale1, floor1 := r.bytes, 0.5
-		if k.op == mpi.OpCompute {
-			scale1, floor1 = r.dur, durationNoise
+	emit := func(k hardKey, members []item) {
+		c := &Cluster{
+			ID: len(clusters), Op: k.op, Sub: k.sub,
+			Peer: k.peer, Peer2: k.peer2, Tag: k.tag,
 		}
-		groups := linkage(items, func(it item) float64 { return it.v1 }, threshold*scale1+floor1)
-		for _, g := range groups {
+		if k.op == mpi.OpCompute {
+			c.Durations = make([]float64, 0, len(members))
+		}
+		clusters = append(clusters, c)
+		for _, it := range members {
+			e := &b.tr.Events[it.rank][it.idx]
+			c.add(float64(e.Bytes), float64(e.Byte2), e.Duration())
+			b.assign[it.rank][it.idx] = c
+		}
+	}
+	lo := 0
+	for i, k := range b.keys {
+		bucket := b.items[lo:b.ends[i]]
+		lo = b.ends[i]
+		scale, floor := b.scale.bytes, 0.5
+		if k.op == mpi.OpCompute {
+			scale, floor = b.scale.dur, durationNoise
+		}
+		maxGap := threshold*scale + floor
+		for len(bucket) > 0 {
+			g := bucket[:gapEnd(bucket, maxGap)]
+			bucket = bucket[len(g):]
+			if k.op != mpi.OpSendrecv {
+				emit(k, g)
+				continue
+			}
 			// Sendrecv events carry a second size; split each group again
 			// on it so receive sizes are bounded by the same threshold.
-			subs := [][]item{g}
-			if k.op == mpi.OpSendrecv {
-				subs = linkage(g, func(it item) float64 { return it.v2 }, threshold*scale1+floor1)
+			sub := append(b.scratch[:0], g...)
+			for j := range sub {
+				sub[j].v1 = float64(b.tr.Events[sub[j].rank][sub[j].idx].Byte2)
 			}
-			for _, sub := range subs {
-				c := &Cluster{
-					ID: len(clusters), Op: k.op, Sub: k.sub,
-					Peer: k.peer, Peer2: k.peer2, Tag: k.tag,
-				}
-				clusters = append(clusters, c)
-				for _, it := range sub {
-					e := tr.Events[it.rank][it.idx]
-					c.add(float64(e.Bytes), float64(e.Byte2), e.Duration())
-					assign[it.rank][it.idx] = c
-				}
+			slices.SortStableFunc(sub, byValue)
+			b.scratch = sub
+			for len(sub) > 0 {
+				n := gapEnd(sub, maxGap)
+				emit(k, sub[:n])
+				sub = sub[n:]
 			}
 		}
 	}
-
-	perRank := make([][]*Cluster, tr.NRanks)
-	for rank := range assign {
-		perRank[rank] = assign[rank]
-	}
-	return perRank, clusters
+	return clusters
 }
 
-// linkage sorts items by the value function and splits them into groups
-// wherever consecutive values differ by more than maxGap (single-linkage
-// agglomeration in one dimension).
-func linkage(items []item, value func(item) float64, maxGap float64) [][]item {
-	s := append([]item(nil), items...)
-	sort.SliceStable(s, func(i, j int) bool { return value(s[i]) < value(s[j]) })
-	var groups [][]item
-	start := 0
-	for i := 1; i <= len(s); i++ {
-		if i == len(s) || value(s[i])-value(s[i-1]) > maxGap {
-			groups = append(groups, s[start:i])
-			start = i
+// gapEnd returns the length of the leading group of value-sorted items:
+// the group ends where consecutive values differ by more than maxGap
+// (single-linkage agglomeration in one dimension).
+func gapEnd(s []item, maxGap float64) int {
+	for i := 1; i < len(s); i++ {
+		if s[i].v1-s[i-1].v1 > maxGap {
+			return i
 		}
 	}
-	return groups
+	return len(s)
 }

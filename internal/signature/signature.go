@@ -102,11 +102,9 @@ func (s *Signature) String() string {
 // hit, in which case TargetMet is false and the best signature found is
 // returned).
 func Build(tr *trace.Trace, opts Options) (*Signature, error) {
-	if err := tr.Validate(); err != nil {
+	b, err := NewBuilder(tr)
+	if err != nil {
 		return nil, err
-	}
-	if tr.Len() == 0 {
-		return nil, ErrEmptyTrace
 	}
 	opts = opts.withDefaults()
 	if opts.InitialThreshold < 0 || opts.InitialThreshold > opts.MaxThreshold {
@@ -114,36 +112,20 @@ func Build(tr *trace.Trace, opts Options) (*Signature, error) {
 			opts.InitialThreshold, opts.MaxThreshold)
 	}
 
-	build := func(threshold float64) *Signature {
-		perRankClusters, clusters := clusterTrace(tr, threshold)
-		s := &Signature{
-			NRanks:      tr.NRanks,
-			AppTime:     tr.AppTime,
-			TraceEvents: tr.Len(),
-			Clusters:    clusters,
-			Threshold:   threshold,
-		}
-		for _, seq := range perRankClusters {
-			s.PerRank = append(s.PerRank, compress(seq, opts.MaxBody))
-		}
-		s.Ratio = float64(s.TraceEvents) / float64(s.Len())
-		return s
-	}
-
 	t := opts.InitialThreshold
 	var best, bestConsistent *Signature
 	for {
-		s := build(t)
+		s := b.At(t, opts.MaxBody)
+		if opts.TargetRatio <= 0 {
+			s.TargetMet = true
+			return s, nil
+		}
 		consistent := s.Consistent() == nil
 		if best == nil || s.Ratio > best.Ratio {
 			best = s
 		}
 		if consistent && (bestConsistent == nil || s.Ratio > bestConsistent.Ratio) {
 			bestConsistent = s
-		}
-		if opts.TargetRatio <= 0 {
-			s.TargetMet = true
-			return s, nil
 		}
 		// Inconsistent thresholds (a cluster of jittered events split
 		// differently across ranks) would yield deadlocking skeletons;

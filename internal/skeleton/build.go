@@ -95,8 +95,9 @@ func BuildOpts(sig *signature.Signature, k int, opts Options) (*Program, error) 
 		MinGoodTime: MinGoodTime(sig, opts.Coverage),
 	}
 	p.Good = p.TargetTime >= p.MinGoodTime-1e-9
+	sc := newScaler(k, opts)
 	for r := 0; r < sig.NRanks; r++ {
-		p.PerRank = append(p.PerRank, scaleSeq(sig.PerRank[r], k, opts))
+		p.PerRank = append(p.PerRank, sc.scaleSeq(sig.PerRank[r]))
 	}
 	return p, nil
 }
@@ -208,35 +209,74 @@ func identity(op Op) opKey {
 	}
 }
 
-// pendingOp is an unreduced operation awaiting the group-of-K pass.
-type pendingOp struct {
+// clusterOp is a signature cluster converted to a skeleton operation,
+// with the dense index of the operation's identity.
+type clusterOp struct {
 	op  Op
 	dur float64
+	id  int
+}
+
+// scaler applies the scaling procedure to the ranks of one signature. It
+// converts each cluster once (opFromCluster is pure, and the duration
+// distributions it builds are only read, so the operations can share
+// them) and numbers each distinct operation identity densely, so the
+// group-of-K pass counts occurrences in reused slices.
+type scaler struct {
+	k    int
+	opts Options
+	ops  map[*signature.Cluster]*clusterOp
+	ids  map[opKey]int
+	// count and seen are indexed by identity: occurrences in the pending
+	// stretch and occurrences visited so far. Both are zero between
+	// flushes.
+	count, seen []int
+	pending     []*clusterOp
+}
+
+func newScaler(k int, opts Options) *scaler {
+	return &scaler{k: k, opts: opts, ops: map[*signature.Cluster]*clusterOp{}, ids: map[opKey]int{}}
+}
+
+// op returns the cluster's operation, converting it on first use.
+func (s *scaler) op(c *signature.Cluster) *clusterOp {
+	if co, ok := s.ops[c]; ok {
+		return co
+	}
+	op, dur := opFromCluster(c, s.opts)
+	key := identity(op)
+	id, ok := s.ids[key]
+	if !ok {
+		id = len(s.ids)
+		s.ids[key] = id
+		s.count = append(s.count, 0)
+		s.seen = append(s.seen, 0)
+	}
+	co := &clusterOp{op: op, dur: dur, id: id}
+	s.ops[c] = co
+	return co
 }
 
 // scaleSeq applies the scaling procedure to one rank's signature sequence.
-func scaleSeq(seq []signature.Node, k int, opts Options) []Node {
+func (s *scaler) scaleSeq(seq []signature.Node) []Node {
 	var out []Node
-	var pending []pendingOp
+	k := s.k
 
 	flush := func() {
-		if len(pending) == 0 {
+		if len(s.pending) == 0 {
 			return
 		}
 		// Step 2+3 over the whole unreduced stretch: count occurrences per
 		// identical operation; every K-th occurrence is kept unscaled
 		// (representing its group of K), and occurrences past the last
 		// full group are kept with parameters scaled down by K.
-		counts := make(map[opKey]int)
-		for _, po := range pending {
-			counts[identity(po.op)]++
+		for _, po := range s.pending {
+			s.count[po.id]++
 		}
-		seen := make(map[opKey]int)
-		for _, po := range pending {
-			id := identity(po.op)
-			j := seen[id]
-			seen[id] = j + 1
-			q := counts[id] / k
+		for _, po := range s.pending {
+			j := s.seen[po.id]
+			s.seen[po.id] = j + 1
+			q := s.count[po.id] / k
 			switch {
 			case j < q*k && j%k == 0:
 				// Representative of a full group of K.
@@ -245,12 +285,15 @@ func scaleSeq(seq []signature.Node, k int, opts Options) []Node {
 				// Absorbed into its group's representative.
 			default:
 				// Leftover: scale parameters down by K.
-				if op, keep := scaleOpts(po.op, k, opts); keep {
+				if op, keep := scaleOpts(po.op, k, s.opts); keep {
 					out = append(out, OpNode{Op: op, Dur: po.dur / float64(k)})
 				}
 			}
 		}
-		pending = pending[:0]
+		for _, po := range s.pending {
+			s.count[po.id], s.seen[po.id] = 0, 0
+		}
+		s.pending = s.pending[:0]
 	}
 
 	var process func(nodes []signature.Node)
@@ -258,13 +301,12 @@ func scaleSeq(seq []signature.Node, k int, opts Options) []Node {
 		for _, nd := range nodes {
 			switch x := nd.(type) {
 			case signature.Leaf:
-				op, dur := opFromCluster(x.C, opts)
-				pending = append(pending, pendingOp{op: op, dur: dur})
+				s.pending = append(s.pending, s.op(x.C))
 			case *signature.Loop:
 				q, r := x.Count/k, x.Count%k
 				if q > 0 {
 					flush()
-					out = append(out, LoopNode{Count: q, Body: verbatim(x.Body, opts)})
+					out = append(out, LoopNode{Count: q, Body: s.verbatim(x.Body)})
 				}
 				// Remainder iterations join the unreduced part; nested
 				// loops inside them are scaled recursively.
@@ -282,15 +324,15 @@ func scaleSeq(seq []signature.Node, k int, opts Options) []Node {
 // verbatim converts signature nodes to skeleton nodes without scaling
 // (for the bodies of reduced loops: each retained iteration is a full
 // original iteration).
-func verbatim(seq []signature.Node, opts Options) []Node {
+func (s *scaler) verbatim(seq []signature.Node) []Node {
 	out := make([]Node, 0, len(seq))
 	for _, nd := range seq {
 		switch x := nd.(type) {
 		case signature.Leaf:
-			op, dur := opFromCluster(x.C, opts)
-			out = append(out, OpNode{Op: op, Dur: dur})
+			co := s.op(x.C)
+			out = append(out, OpNode{Op: co.op, Dur: co.dur})
 		case *signature.Loop:
-			out = append(out, LoopNode{Count: x.Count, Body: verbatim(x.Body, opts)})
+			out = append(out, LoopNode{Count: x.Count, Body: s.verbatim(x.Body)})
 		}
 	}
 	return out

@@ -9,6 +9,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 
 	"perfskel/internal/mpi"
 )
@@ -57,15 +58,25 @@ func (t *Trace) Len() int {
 	return n
 }
 
-// Validate checks internal consistency: per-rank time ordering, positive
-// durations, events within [0, AppTime].
+// Validate checks internal consistency: finite times, non-negative byte
+// counts, per-rank time ordering, positive durations, events within
+// [0, AppTime].
 func (t *Trace) Validate() error {
 	if len(t.Events) != t.NRanks {
 		return fmt.Errorf("trace: %d ranks but %d event streams", t.NRanks, len(t.Events))
 	}
+	if !finite(t.AppTime) {
+		return fmt.Errorf("trace: app time %v is not finite", t.AppTime)
+	}
 	for r, evs := range t.Events {
 		last := 0.0
 		for i, e := range evs {
+			if !finite(e.Start) || !finite(e.End) {
+				return fmt.Errorf("trace: rank %d event %d has a non-finite time", r, i)
+			}
+			if e.Bytes < 0 || e.Byte2 < 0 {
+				return fmt.Errorf("trace: rank %d event %d has a negative byte count", r, i)
+			}
 			if e.End < e.Start {
 				return fmt.Errorf("trace: rank %d event %d ends before it starts", r, i)
 			}
@@ -80,6 +91,9 @@ func (t *Trace) Validate() error {
 	}
 	return nil
 }
+
+// finite reports whether f is neither NaN nor infinite.
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
 // minComputeGap is the smallest inter-call gap recorded as a computation
 // event; anything shorter is measurement noise.

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"math"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -312,5 +313,50 @@ func TestRankDoneBoundsTrailingCompute(t *testing.T) {
 	last0 := evs0[len(evs0)-1]
 	if !last0.IsCompute() || math.Abs(last0.Duration()-2.0) > 1e-9 {
 		t.Errorf("rank 0 trailing compute = %v, want 2.0", last0)
+	}
+}
+
+func TestValidateRejectsBadNumbers(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name string
+		tr   Trace
+		want string
+	}{
+		{"negative bytes", Trace{NRanks: 1, AppTime: 1, Events: [][]Event{{
+			{Op: mpi.OpSend, Peer: 0, Bytes: -100, Start: 0, End: 0.1}}}}, "negative byte count"},
+		{"negative byte2", Trace{NRanks: 1, AppTime: 1, Events: [][]Event{{
+			{Op: mpi.OpSendrecv, Peer: 0, Peer2: 0, Bytes: 8, Byte2: -8, Start: 0, End: 0.1}}}}, "negative byte count"},
+		{"NaN start", Trace{NRanks: 1, AppTime: 1, Events: [][]Event{{
+			{Op: mpi.OpCompute, Start: nan, End: 0.1}}}}, "non-finite time"},
+		{"NaN end", Trace{NRanks: 1, AppTime: 1, Events: [][]Event{{
+			{Op: mpi.OpCompute, Start: 0, End: nan}}}}, "non-finite time"},
+		{"+Inf end", Trace{NRanks: 1, AppTime: 1, Events: [][]Event{{
+			{Op: mpi.OpCompute, Start: 0, End: inf}}}}, "non-finite time"},
+		{"-Inf start", Trace{NRanks: 1, AppTime: 1, Events: [][]Event{{
+			{Op: mpi.OpCompute, Start: -inf, End: 0.1}}}}, "non-finite time"},
+		{"NaN app time", Trace{NRanks: 1, AppTime: nan, Events: [][]Event{{
+			{Op: mpi.OpCompute, Start: 0, End: 0.1}}}}, "app time"},
+		{"+Inf app time", Trace{NRanks: 1, AppTime: inf, Events: [][]Event{{
+			{Op: mpi.OpCompute, Start: 0, End: 0.1}}}}, "app time"},
+	} {
+		err := c.tr.Validate()
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Validate() = %v, want an error containing %q", c.name, err, c.want)
+		}
+	}
+}
+
+func TestLoadRejectsNegativeBytes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.json")
+	doc := `{"nranks":2,"apptime":1,"events":[` +
+		`[{"op":2,"peer":1,"peer2":-1,"bytes":-100,"tag":0,"start":0,"end":0.1}],` +
+		`[{"op":3,"peer":0,"peer2":-1,"bytes":-100,"tag":0,"start":0,"end":0.1}]]}`
+	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := Load(path)
+	if err == nil || !strings.Contains(err.Error(), "rank 0 event 0 has a negative byte count") {
+		t.Fatalf("Load = %v, %v; want the negative byte count error", tr, err)
 	}
 }

@@ -95,6 +95,44 @@ END {
 echo "==> wrote $out"
 cat "$out"
 
+# Skeleton construction: skeleton.BuildFromTrace at K=8 on an LU class
+# S 64-rank trace (simulated once, outside the timer) — the threshold
+# search with clustering, loop folding and K-scaling at every step.
+# Reports medians over the runs; seed_ns_op is the median of the same
+# benchmark at the construction code that re-clustered the trace at
+# every threshold step, measured in alternating pairs with this one.
+# Writes BENCH_construct.json.
+out=BENCH_construct.json
+
+echo "==> go test -bench ConstructScale (count=$count)"
+go test -run xxx -bench 'BenchmarkConstructScale$' -benchmem -count "$count" "$@" . | tee /tmp/bench_construct.txt
+
+awk '
+function metric(unit,   i) { for (i = 1; i <= NF; i++) if ($i == unit) return $(i-1); return 0 }
+function median(a, n,   i, j, t) {
+    for (i = 2; i <= n; i++) { t = a[i]; for (j = i - 1; j >= 1 && a[j] > t; j--) a[j+1] = a[j]; a[j+1] = t }
+    return n % 2 ? a[(n+1)/2] : (a[n/2] + a[n/2+1]) / 2
+}
+/^BenchmarkConstructScale/ { n++; ns[n] = metric("ns/op"); ev[n] = metric("ns/trace-event"); al[n] = metric("allocs/op"); by[n] = metric("B/op") }
+END {
+    if (n == 0) { print "no benchmark output" > "/dev/stderr"; exit 1 }
+    seed = 849764757
+    mns = median(ns, n)
+    printf "{\n"
+    printf "  \"benchmark\": \"skeleton.BuildFromTrace, K=8, LU class S, 64 ranks, dedicated trace\",\n"
+    printf "  \"runs\": %d,\n", n
+    printf "  \"seed_ns_op\": %d,\n", seed
+    printf "  \"ns_op\": %.0f,\n", mns
+    printf "  \"ns_trace_event\": %.1f,\n", median(ev, n)
+    printf "  \"allocs_op\": %.0f,\n", median(al, n)
+    printf "  \"bytes_op\": %.0f,\n", median(by, n)
+    printf "  \"speedup\": %.2f\n", seed / mns
+    printf "}\n"
+}' /tmp/bench_construct.txt > "$out"
+
+echo "==> wrote $out"
+cat "$out"
+
 # Static analysis: the same 200-iteration ring exchange as unrolled
 # straight-line code and as a counted loop the symbolic executor folds,
 # plus the orderflow dataflow engine — cold-cache summary construction
