@@ -379,36 +379,61 @@ func TestBuildFromTraceMeetsTarget(t *testing.T) {
 }
 
 func TestConsistentDetectsMismatches(t *testing.T) {
-	// Collective count mismatch.
-	bad := &Program{NRanks: 2, K: 1, PerRank: [][]Node{
-		{OpNode{Op: Op{Kind: mpi.OpAllreduce, Peer: mpi.None, Bytes: 8}}},
-		{},
-	}}
-	if err := bad.Consistent(); err == nil {
-		t.Error("collective count mismatch not detected")
+	op := func(kind mpi.Op, peer, tag int) Node {
+		return OpNode{Op: Op{Kind: kind, Peer: peer, Tag: tag, Bytes: 8}}
 	}
-	// Collective order mismatch.
-	bad2 := &Program{NRanks: 2, K: 1, PerRank: [][]Node{
-		{OpNode{Op: Op{Kind: mpi.OpAllreduce, Peer: mpi.None}}, OpNode{Op: Op{Kind: mpi.OpBarrier, Peer: mpi.None}}},
-		{OpNode{Op: Op{Kind: mpi.OpBarrier, Peer: mpi.None}}, OpNode{Op: Op{Kind: mpi.OpAllreduce, Peer: mpi.None}}},
-	}}
-	if err := bad2.Consistent(); err == nil {
-		t.Error("collective order mismatch not detected")
-	}
-	// Unmatched p2p.
-	bad3 := &Program{NRanks: 2, K: 1, PerRank: [][]Node{
-		{OpNode{Op: Op{Kind: mpi.OpSend, Peer: 1, Tag: 1, Bytes: 8}}},
-		{},
-	}}
-	if err := bad3.Consistent(); err == nil {
-		t.Error("unmatched send not detected")
-	}
-	// A matched pair inside loops of equal multiplicity is consistent.
-	good := &Program{NRanks: 2, K: 1, PerRank: [][]Node{
-		{LoopNode{Count: 3, Body: []Node{OpNode{Op: Op{Kind: mpi.OpSend, Peer: 1, Tag: 1, Bytes: 8}}}}},
-		{LoopNode{Count: 3, Body: []Node{OpNode{Op: Op{Kind: mpi.OpRecv, Peer: 0, Tag: 1}}}}},
-	}}
-	if err := good.Consistent(); err != nil {
-		t.Errorf("consistent program rejected: %v", err)
+	loop := func(count int, body ...Node) Node { return LoopNode{Count: count, Body: body} }
+	for _, tc := range []struct {
+		name    string
+		perRank [][]Node
+		want    string // "" for consistent
+	}{
+		{"collective count differs", [][]Node{
+			{op(mpi.OpAllreduce, mpi.None, 0)},
+			{},
+		}, "skeleton: rank 1 performs 0 collective calls, rank 0 1"},
+		{"collective order differs", [][]Node{
+			{op(mpi.OpAllreduce, mpi.None, 0), op(mpi.OpBarrier, mpi.None, 0)},
+			{op(mpi.OpBarrier, mpi.None, 0), op(mpi.OpAllreduce, mpi.None, 0)},
+		}, "skeleton: collective call 0 differs: rank 0 MPI_Allreduce(root=-2), rank 1 MPI_Barrier(root=-2)"},
+		{"collective root differs", [][]Node{
+			{op(mpi.OpBcast, 0, 0)},
+			{op(mpi.OpBcast, 1, 0)},
+		}, "skeleton: collective call 0 differs: rank 0 MPI_Bcast(root=0), rank 1 MPI_Bcast(root=1)"},
+		{"rootless collective ignores peer", [][]Node{
+			{op(mpi.OpAllreduce, 0, 0)},
+			{op(mpi.OpAllreduce, 1, 0)},
+		}, ""},
+		{"sends exceed receives", [][]Node{
+			{loop(3, op(mpi.OpSend, 1, 1))},
+			{loop(2, op(mpi.OpRecv, 0, 1))},
+		}, "skeleton: 3 sends 0->1 tag 1 but 2 receives"},
+		{"receives exceed sends", [][]Node{
+			{},
+			{loop(2, op(mpi.OpIrecv, 0, 1))},
+		}, "skeleton: 2 receives 0->1 tag 1 but 0 sends"},
+		{"unmatched send", [][]Node{
+			{op(mpi.OpSend, 1, 1)},
+			{},
+		}, "skeleton: 1 sends 0->1 tag 1 but 0 receives"},
+		{"wildcard receive skips point-to-point", [][]Node{
+			{loop(3, op(mpi.OpSend, 1, 1))},
+			{op(mpi.OpRecv, 0, mpi.AnyTag)},
+		}, ""},
+		{"matched pair in loops", [][]Node{
+			{loop(3, op(mpi.OpSend, 1, 1))},
+			{loop(3, op(mpi.OpRecv, 0, 1))},
+		}, ""},
+	} {
+		p := &Program{NRanks: 2, K: 1, PerRank: tc.perRank}
+		err := p.Consistent()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: consistent program rejected: %v", tc.name, err)
+		case tc.want != "" && err == nil:
+			t.Errorf("%s: mismatch not detected", tc.name)
+		case tc.want != "" && err.Error() != tc.want:
+			t.Errorf("%s: error %q, want %q", tc.name, err, tc.want)
+		}
 	}
 }
