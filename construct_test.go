@@ -89,6 +89,17 @@ func TestConstructWithSignatureOptions(t *testing.T) {
 	}
 }
 
+func TestConstructRejectsNonFiniteInitialThreshold(t *testing.T) {
+	tr, _ := constructTrace(t)
+	for _, thr := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, _, err := perfskel.Construct(tr, perfskel.WithK(6),
+			perfskel.WithSignatureOptions(perfskel.SignatureOptions{TargetRatio: 100, InitialThreshold: thr}))
+		if err == nil {
+			t.Errorf("initial threshold %v accepted", thr)
+		}
+	}
+}
+
 func TestConstructWithMode(t *testing.T) {
 	tr, _ := constructTrace(t)
 	// K above the iteration count forces parameter scaling, where the

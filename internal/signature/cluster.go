@@ -214,8 +214,8 @@ func NewBuilder(tr *trace.Trace) (*Builder, error) {
 }
 
 // At builds the signature at one similarity threshold, folding loops
-// with bodies of at most maxBody nodes (DefaultMaxBody if maxBody <= 0).
-func (b *Builder) At(threshold float64, maxBody int) *Signature {
+// with bodies of at most DefaultMaxBody nodes.
+func (b *Builder) At(threshold float64) *Signature {
 	clusters := b.cluster(threshold)
 	s := &Signature{
 		NRanks:      b.tr.NRanks,
@@ -226,7 +226,7 @@ func (b *Builder) At(threshold float64, maxBody int) *Signature {
 		PerRank:     make([][]Node, len(b.assign)),
 	}
 	for rank, seq := range b.assign {
-		s.PerRank[rank] = b.fold.compress(seq, maxBody)
+		s.PerRank[rank] = b.fold.compress(seq, DefaultMaxBody)
 	}
 	s.Ratio = float64(s.TraceEvents) / float64(s.Len())
 	return s

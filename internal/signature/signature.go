@@ -17,43 +17,32 @@ var ErrEmptyTrace = errors.New("signature: empty trace")
 type Options struct {
 	// TargetRatio is the desired compression ratio Q between trace length
 	// and signature length. The similarity threshold is raised from
-	// InitialThreshold in Step increments until the ratio is reached
+	// InitialThreshold along Thresholds until the ratio is reached
 	// (paper: Q = K/2 where K is the skeleton scaling factor). Zero means
 	// "no target": a single pass at InitialThreshold.
 	TargetRatio float64
-	// InitialThreshold is the starting similarity threshold (default 0:
-	// only effectively identical events cluster).
+	// InitialThreshold is the starting similarity threshold, in [0, 1]
+	// (default 0: only effectively identical events cluster).
 	InitialThreshold float64
-	// Step is the initial threshold increment of the iterative search
-	// (default 0.005). Each iteration the increment grows by Growth, so
-	// the search is fine-grained at the low thresholds that matter and
-	// still bounded (~17 passes) when the target is unreachable.
-	Step float64
-	// Growth is the multiplicative step growth per iteration (default
-	// 1.3; 1.0 gives the fixed-step search).
-	Growth float64
-	// MaxThreshold caps the search (default 1.0). The paper observes that
-	// NAS benchmarks never needed more than 0.20.
-	MaxThreshold float64
-	// MaxBody bounds the loop-body window of the folder (default
-	// DefaultMaxBody).
-	MaxBody int
 }
 
-func (o Options) withDefaults() Options {
-	if o.Step == 0 {
-		o.Step = 0.005
+// Thresholds returns the similarity thresholds a search from start
+// visits, in order. The increment starts at 0.005 and grows by 1.3 per
+// step, so the search is fine-grained at the low thresholds that matter
+// and still bounded (17 thresholds from 0) when the target is unreachable; it
+// ends at 1. The paper observes that NAS benchmarks never needed more
+// than 0.20.
+func Thresholds(start float64) []float64 {
+	ts := []float64{start}
+	for t, step := start, 0.005; t < 1; {
+		t += step
+		step *= 1.3
+		if t > 1 {
+			t = 1
+		}
+		ts = append(ts, t)
 	}
-	if o.Growth == 0 {
-		o.Growth = 1.3
-	}
-	if o.MaxThreshold == 0 {
-		o.MaxThreshold = 1.0
-	}
-	if o.MaxBody == 0 {
-		o.MaxBody = DefaultMaxBody
-	}
-	return o
+	return ts
 }
 
 // Signature is a compressed execution signature: per-rank loop-structured
@@ -97,25 +86,23 @@ func (s *Signature) String() string {
 }
 
 // Build compresses a trace into an execution signature. If
-// opts.TargetRatio is set, the similarity threshold is raised iteratively
-// until the achieved compression ratio reaches it (or MaxThreshold is
-// hit, in which case TargetMet is false and the best signature found is
-// returned).
+// opts.TargetRatio is set, the similarity threshold is raised along
+// Thresholds until the achieved compression ratio reaches it at a
+// consistent signature (or the last threshold is hit, in which case
+// TargetMet is false and the best signature found is returned).
 func Build(tr *trace.Trace, opts Options) (*Signature, error) {
 	b, err := NewBuilder(tr)
 	if err != nil {
 		return nil, err
 	}
-	opts = opts.withDefaults()
-	if opts.InitialThreshold < 0 || opts.InitialThreshold > opts.MaxThreshold {
-		return nil, fmt.Errorf("signature: initial threshold %v out of [0, %v]",
-			opts.InitialThreshold, opts.MaxThreshold)
+	// Written so that NaN fails too.
+	if t := opts.InitialThreshold; !(t >= 0 && t <= 1) {
+		return nil, fmt.Errorf("signature: initial threshold %v out of [0, 1]", t)
 	}
 
-	t := opts.InitialThreshold
 	var best, bestConsistent *Signature
-	for {
-		s := b.At(t, opts.MaxBody)
+	for _, t := range Thresholds(opts.InitialThreshold) {
+		s := b.At(t)
 		if opts.TargetRatio <= 0 {
 			s.TargetMet = true
 			return s, nil
@@ -134,16 +121,9 @@ func Build(tr *trace.Trace, opts Options) (*Signature, error) {
 			s.TargetMet = true
 			return s, nil
 		}
-		if t >= opts.MaxThreshold {
-			if bestConsistent != nil {
-				return bestConsistent, nil
-			}
-			return best, nil
-		}
-		t += opts.Step
-		opts.Step *= opts.Growth
-		if t > opts.MaxThreshold {
-			t = opts.MaxThreshold
-		}
 	}
+	if bestConsistent != nil {
+		return bestConsistent, nil
+	}
+	return best, nil
 }

@@ -20,10 +20,13 @@ fi
 echo "==> go vet ./..."
 go vet ./...
 
-# skelbench is its own module, so ./... above and skelvet -self below
-# do not reach it.
+# skelbench is its own module, so ./... above, skelvet -self and the
+# test run below do not reach it.
 echo "==> go vet (skelbench module)"
 (cd skelbench && go vet ./...)
+
+echo "==> go test (skelbench module)"
+(cd skelbench && go test ./...)
 
 echo "==> skelvet -self"
 go run ./cmd/skelvet -self
