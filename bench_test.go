@@ -373,6 +373,29 @@ func benchCG(b *testing.B, instrument bool) {
 	}
 }
 
+// TestNASRunAllocBudget pins the allocations of a whole uninstrumented
+// NAS run: CG class S on 4 dedicated ranks. Blocking calls recycle their
+// messages and receive requests through per-world free lists, so the
+// count is set-up (cluster, ranks, free lists), about 170, rather than
+// per message. The budget leaves modest headroom for set-up changes.
+func TestNASRunAllocBudget(t *testing.T) {
+	const budget = 250
+	app, err := perfskel.NASApp("CG", perfskel.ClassS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		cl := cluster.Build(cluster.Testbed(4), cluster.Dedicated())
+		if _, err := mpi.Run(cl, 4, mpi.Config{}, nil, app); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocs per CG class S run", allocs)
+	if allocs > budget {
+		t.Fatalf("CG class S run allocates %.0f times, want <= %d", allocs, budget)
+	}
+}
+
 // BenchmarkTelemetryOff measures the dedicated CG workload with a nil
 // sink: every probe emission site is behind a nil check, so this is the
 // zero-instrumentation baseline.

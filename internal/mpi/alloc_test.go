@@ -26,21 +26,21 @@ func pingPong(rounds int) {
 	}
 }
 
-// TestPingPongAllocBudget pins the per-message allocation budget of the
-// point-to-point path. A round trip is two messages, and each message
-// costs three allocations: the in-flight message (the sender's Request
-// and its completion event embedded), its one transfer callback, which
-// starts the flow after the latency and delivers after the flow, and the
-// receive Request. The route comes from the cluster's path cache and the
-// first waiter sits inline in the event. Subtracting a short run from a
-// long one cancels the set-up cost.
+// TestPingPongAllocBudget pins the allocation budget of the blocking
+// point-to-point path at zero. Send and Recv own their message and
+// receive request, and give both back to the world's free lists when
+// their waits complete; a recycled message keeps its bound transfer
+// callback. The route comes from the cluster's path cache and the first
+// waiter sits inline in the event. So once the first round trip has
+// filled the free lists, a round trip allocates nothing. Subtracting a
+// short run from a long one cancels the set-up cost.
 func TestPingPongAllocBudget(t *testing.T) {
 	const short, long, runs = 200, 600, 5
 	a := testing.AllocsPerRun(runs, func() { pingPong(short) })
 	b := testing.AllocsPerRun(runs, func() { pingPong(long) })
 	perRound := (b - a) / (long - short)
 	t.Logf("%.3f allocs/round trip", perRound)
-	if perRound > 6.05 {
-		t.Fatalf("ping-pong allocates %.2f allocs/round trip, want <= 6", perRound)
+	if perRound > 0.05 {
+		t.Fatalf("ping-pong allocates %.3f allocs/round trip, want <= 0.05", perRound)
 	}
 }

@@ -15,6 +15,14 @@ func (c *Comm) collTag() int {
 	return collTagBase + st.collSeq
 }
 
+// checkRoot panics, as isendRaw does for a bad peer, unless root names a
+// rank of the world; the simulator turns the panic into a run error.
+func (c *Comm) checkRoot(op string, root int) {
+	if root < 0 || root >= c.Size() {
+		panic(fmt.Sprintf("mpi: rank %d %s with invalid root %d", c.rank, op, root))
+	}
+}
+
 // token is the wire size of a zero-payload synchronisation message.
 const token = 4
 
@@ -34,6 +42,7 @@ func (c *Comm) Barrier() {
 
 // Bcast broadcasts bytes from root to every rank (binomial tree).
 func (c *Comm) Bcast(root int, bytes int64) {
+	c.checkRoot("Bcast", root)
 	start := c.beginOp()
 	tag := c.collTag()
 	c.bcastRaw(root, tag, bytes)
@@ -51,7 +60,7 @@ func (c *Comm) bcastRaw(root, tag int, bytes int64) {
 		if vrank&mask != 0 {
 			src := (vrank - mask + root) % size
 			r := c.irecvRaw(src, tag)
-			c.waitRaw(r)
+			c.waitDone(r)
 			break
 		}
 		mask <<= 1
@@ -61,7 +70,7 @@ func (c *Comm) bcastRaw(root, tag int, bytes int64) {
 		if vrank+mask < size {
 			dst := (vrank + mask + root) % size
 			r := c.isendRaw(dst, tag, bytes)
-			c.waitRaw(r)
+			c.waitDone(r)
 		}
 		mask >>= 1
 	}
@@ -70,6 +79,7 @@ func (c *Comm) bcastRaw(root, tag int, bytes int64) {
 // Reduce combines bytes from every rank at root (binomial tree; the
 // combine step costs CPU per Config.ReduceCostPerByte).
 func (c *Comm) Reduce(root int, bytes int64) {
+	c.checkRoot("Reduce", root)
 	start := c.beginOp()
 	tag := c.collTag()
 	c.reduceRaw(root, tag, bytes)
@@ -88,13 +98,13 @@ func (c *Comm) reduceRaw(root, tag int, bytes int64) {
 			if vrank+mask < size {
 				src := (vrank + mask + root) % size
 				r := c.irecvRaw(src, tag)
-				c.waitRaw(r)
+				c.waitDone(r)
 				c.reduceCost(bytes)
 			}
 		} else {
 			dst := (vrank - mask + root) % size
 			r := c.isendRaw(dst, tag, bytes)
-			c.waitRaw(r)
+			c.waitDone(r)
 			break
 		}
 		mask <<= 1
@@ -178,6 +188,7 @@ func (c *Comm) Allgather(bytesPerRank int64) {
 
 // Gather collects bytesPerRank from every rank at root (linear algorithm).
 func (c *Comm) Gather(root int, bytesPerRank int64) {
+	c.checkRoot("Gather", root)
 	start := c.beginOp()
 	tag := c.collTag()
 	if c.rank == root {
@@ -189,11 +200,11 @@ func (c *Comm) Gather(root int, bytesPerRank int64) {
 			reqs = append(reqs, c.irecvRaw(r, tag))
 		}
 		for _, r := range reqs {
-			c.waitRaw(r)
+			c.waitDone(r)
 		}
 	} else {
 		r := c.isendRaw(root, tag, bytesPerRank)
-		c.waitRaw(r)
+		c.waitDone(r)
 	}
 	c.record(OpRecord{Op: OpGather, Peer: root, Peer2: None, Bytes: bytesPerRank, Start: start, End: c.Now()})
 }
@@ -201,6 +212,7 @@ func (c *Comm) Gather(root int, bytesPerRank int64) {
 // Scatter distributes bytesPerRank from root to every rank (linear
 // algorithm).
 func (c *Comm) Scatter(root int, bytesPerRank int64) {
+	c.checkRoot("Scatter", root)
 	start := c.beginOp()
 	tag := c.collTag()
 	if c.rank == root {
@@ -212,11 +224,11 @@ func (c *Comm) Scatter(root int, bytesPerRank int64) {
 			reqs = append(reqs, c.isendRaw(r, tag, bytesPerRank))
 		}
 		for _, r := range reqs {
-			c.waitRaw(r)
+			c.waitDone(r)
 		}
 	} else {
 		r := c.irecvRaw(root, tag)
-		c.waitRaw(r)
+		c.waitDone(r)
 	}
 	c.record(OpRecord{Op: OpScatter, Peer: root, Peer2: None, Bytes: bytesPerRank, Start: start, End: c.Now()})
 }

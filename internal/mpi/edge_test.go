@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -86,6 +87,31 @@ func TestInvalidRankPanicsPropagate(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "invalid rank") {
 		t.Errorf("err = %v", err)
+	}
+}
+
+// TestInvalidCollectiveRootPanicsPropagate checks that every rooted
+// collective rejects a root outside [0, size) instead of running as
+// another root, and that the panic surfaces as a run error.
+func TestInvalidCollectiveRootPanicsPropagate(t *testing.T) {
+	const size = 4
+	colls := map[string]func(c *Comm, root int){
+		"Bcast":   func(c *Comm, root int) { c.Bcast(root, 64) },
+		"Reduce":  func(c *Comm, root int) { c.Reduce(root, 64) },
+		"Gather":  func(c *Comm, root int) { c.Gather(root, 64) },
+		"Scatter": func(c *Comm, root int) { c.Scatter(root, 64) },
+	}
+	for name, call := range colls {
+		for _, root := range []int{size, -1} {
+			t.Run(fmt.Sprintf("%s/root=%d", name, root), func(t *testing.T) {
+				cl := cluster.Build(cluster.Testbed(size), cluster.Dedicated())
+				_, err := Run(cl, size, freeCfg, nil, func(c *Comm) { call(c, root) })
+				want := fmt.Sprintf("%s with invalid root %d", name, root)
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("err = %v, want it to mention %q", err, want)
+				}
+			})
+		}
 	}
 }
 

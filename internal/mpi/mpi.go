@@ -86,6 +86,12 @@ type World struct {
 	cp     telemetry.CausalProbe // Probe's causal extension, when implemented
 	ranks  []*rankState
 	finish float64 // virtual time the last rank finished
+
+	// Free lists of recycled messages and receive requests (see
+	// waitDone). One goroutine drives a world at a time, so plain
+	// slices need no lock and reuse order stays deterministic.
+	freeMsgs []*message
+	freeReqs []*Request
 }
 
 type rankState struct {

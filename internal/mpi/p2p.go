@@ -41,9 +41,10 @@ func (r *Request) Done() bool { return r.done.Fired() }
 // eagerly on envelope announcement (control traffic is not modelled);
 // payload transfer pays latency plus a bandwidth-shared flow.
 //
-// The sender's request is embedded, so posting a send allocates one
-// struct; the transfer's single completion callback (next) is the only
-// other per-message allocation on the sending side.
+// The sender's request is embedded, and next, the bound m.step both
+// engine completions call, is bound once when the message is first
+// allocated. Messages are recycled through the world's free list (see
+// waitDone), so a blocking exchange allocates nothing in steady state.
 type message struct {
 	src, dst, tag int
 	bytes         int64
@@ -52,9 +53,14 @@ type message struct {
 	sreq          Request  // sender's request
 	rreq          *Request // matched receive, nil until matched
 
+	// holds counts the parties that may still read the message: the
+	// sender and the receiver. A blocking call drops its party's hold
+	// when its wait completes; a user-held Isend/Irecv handle never
+	// does. At zero the message returns to the world's free list.
+	holds int8
+
 	// Transfer state, set by startTransfer: the world to deliver into,
-	// the crossbar path, whether the flow has started, and next, the
-	// bound m.step both engine completions call.
+	// the crossbar path and whether the flow has started.
 	w       *World
 	path    []*sim.Resource
 	flowing bool
@@ -68,6 +74,41 @@ type message struct {
 	// was in motion (latency plus flow). xferEnd stays zero until
 	// delivery.
 	xferStart, xferEnd float64
+}
+
+// newMessage returns a zeroed message from the free list, or a fresh one
+// with its transfer callback bound.
+func (w *World) newMessage() *message {
+	if n := len(w.freeMsgs); n > 0 {
+		m := w.freeMsgs[n-1]
+		w.freeMsgs = w.freeMsgs[:n-1]
+		return m
+	}
+	m := &message{}
+	m.next = m.step
+	return m
+}
+
+// newRecv returns a zeroed receive request from the free list, or a
+// fresh one.
+func (w *World) newRecv() *Request {
+	if n := len(w.freeReqs); n > 0 {
+		req := w.freeReqs[n-1]
+		w.freeReqs = w.freeReqs[:n-1]
+		return req
+	}
+	return &Request{}
+}
+
+// drop releases one hold on m and recycles it once nobody holds it. The
+// bound callback survives the reset, so a recycled message never
+// allocates a closure.
+func (w *World) drop(m *message) {
+	if m.holds--; m.holds > 0 {
+		return
+	}
+	*m = message{next: m.next}
+	w.freeMsgs = append(w.freeMsgs, m)
 }
 
 func match(req *Request, m *message) bool {
@@ -87,7 +128,7 @@ func (w *World) startTransfer(m *message, by int) {
 		lat = w.cfg.SelfLatency
 	}
 	eng := w.cl.Engine
-	m.w, m.path, m.next = w, w.cl.Path(src, dst), m.step
+	m.w, m.path = w, w.cl.Path(src, dst)
 	m.xferStart = eng.Now()
 	if w.cp != nil {
 		m.id = w.cl.NextMsgID()
@@ -163,13 +204,12 @@ func (c *Comm) isendRaw(dst, tag int, bytes int64) *Request {
 	}
 	c.overhead()
 	w := c.w
-	m := &message{
-		src: c.rank, dst: dst, tag: tag, bytes: bytes,
-		eager: bytes <= w.cfg.EagerThreshold,
-		sreq:  Request{op: OpIsend, peer: dst, tag: tag, bytes: bytes},
-	}
+	m := w.newMessage()
+	m.src, m.dst, m.tag, m.bytes = c.rank, dst, tag, bytes
+	m.eager = bytes <= w.cfg.EagerThreshold
+	m.holds = 2
+	m.sreq = Request{op: OpIsend, peer: dst, tag: tag, bytes: bytes, m: m}
 	req := &m.sreq
-	req.m = m
 	if m.eager {
 		// Eager: payload leaves immediately, the send buffer is considered
 		// consumed, and the sender proceeds.
@@ -195,7 +235,8 @@ func (c *Comm) irecvRaw(src, tag int) *Request {
 	}
 	c.overhead()
 	w := c.w
-	req := &Request{op: OpIrecv, peer: src, tag: tag}
+	req := w.newRecv()
+	req.op, req.peer, req.tag = OpIrecv, src, tag
 	st := c.state()
 	for i, m := range st.pending {
 		if match(req, m) {
@@ -250,6 +291,25 @@ func (c *Comm) waitRaw(req *Request) Status {
 	return req.st
 }
 
+// waitDone is waitRaw for a request owned by the blocking call that
+// posted it, which gives up the request once it completes. A send drops
+// the sender's hold on its message. A receive unbinds its request, which
+// goes back to the free list, and drops the receiver's hold. Both are
+// safe because a receive completes only on delivery, after which the
+// engine no longer references the message, and the handle never escapes
+// the call.
+func (c *Comm) waitDone(req *Request) Status {
+	stat := c.waitRaw(req)
+	w, m := c.w, req.m
+	if req.op == OpIrecv {
+		m.rreq = nil
+		*req = Request{}
+		w.freeReqs = append(w.freeReqs, req)
+	}
+	w.drop(m)
+	return stat
+}
+
 func min64(a, b float64) float64 {
 	if a < b {
 		return a
@@ -269,8 +329,8 @@ func max64(a, b float64) float64 {
 func (c *Comm) sendrecvRaw(dst, src, tag int, sendBytes int64) Status {
 	sr := c.isendRaw(dst, tag, sendBytes)
 	rr := c.irecvRaw(src, tag)
-	stat := c.waitRaw(rr)
-	c.waitRaw(sr)
+	stat := c.waitDone(rr)
+	c.waitDone(sr)
 	return stat
 }
 
@@ -318,16 +378,14 @@ func (c *Comm) Waitall(reqs ...*Request) {
 // immediately for eager messages, on delivery for rendezvous ones.
 func (c *Comm) Send(dst, tag int, bytes int64) {
 	start := c.beginOp()
-	req := c.isendRaw(dst, tag, bytes)
-	c.waitRaw(req)
+	c.waitDone(c.isendRaw(dst, tag, bytes))
 	c.record(OpRecord{Op: OpSend, Peer: dst, Peer2: None, Bytes: bytes, Tag: tag, Start: start, End: c.Now()})
 }
 
 // Recv blocks until a matching message is received.
 func (c *Comm) Recv(src, tag int) Status {
 	start := c.beginOp()
-	req := c.irecvRaw(src, tag)
-	stat := c.waitRaw(req)
+	stat := c.waitDone(c.irecvRaw(src, tag))
 	peer := src
 	if stat.Source >= 0 {
 		peer = stat.Source

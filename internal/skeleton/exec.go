@@ -27,6 +27,7 @@ func Execute(p *Program, c *mpi.Comm) {
 type executor struct {
 	c           *mpi.Comm
 	outstanding []*mpi.Request // issue order
+	sizes       []int64        // Alltoallv send sizes, reused across calls
 }
 
 // walk executes a sequence; iter is the enclosing loop's current
@@ -89,11 +90,13 @@ func (x *executor) perform(op Op, iter int) {
 		c.Alltoall(op.Bytes)
 	case mpi.OpAlltoallv:
 		// Replayed as a uniform exchange of the recorded mean size.
-		sizes := make([]int64, c.Size())
-		for i := range sizes {
-			sizes[i] = op.Bytes
+		if x.sizes == nil {
+			x.sizes = make([]int64, c.Size())
 		}
-		c.Alltoallv(sizes)
+		for i := range x.sizes {
+			x.sizes[i] = op.Bytes
+		}
+		c.Alltoallv(x.sizes)
 	case mpi.OpAllgather:
 		c.Allgather(op.Bytes)
 	case mpi.OpGather:

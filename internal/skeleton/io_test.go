@@ -2,12 +2,14 @@ package skeleton
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
 	"perfskel/internal/cluster"
+	"perfskel/internal/mpi"
 )
 
 func TestProgramRoundTrip(t *testing.T) {
@@ -72,5 +74,22 @@ func TestReadRejectsCorruptPrograms(t *testing.T) {
 		if _, err := Read(strings.NewReader(c)); err == nil {
 			t.Errorf("Read(%q) succeeded, want error", c)
 		}
+	}
+}
+
+// TestRunRejectsOutOfRangeRoot checks that a program whose Bcast names a
+// root outside the world fails as a run error rather than running as if
+// some other rank were the root.
+func TestRunRejectsOutOfRangeRoot(t *testing.T) {
+	op := fmt.Sprintf(`{"op":{"Kind":%d,"Peer":9,"Bytes":64}}`, mpi.OpBcast)
+	src := fmt.Sprintf(`{"nranks":2,"perrank":[[%s],[%s]]}`, op, op)
+	p, err := Read(strings.NewReader(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := cluster.Build(cluster.Testbed(2), cluster.Dedicated())
+	_, err = Run(p, cl, mpi.Config{}, nil)
+	if err == nil || !strings.Contains(err.Error(), "Bcast with invalid root 9") {
+		t.Errorf("err = %v, want an invalid-root run error", err)
 	}
 }

@@ -76,9 +76,11 @@ out=BENCH_telemetry.json
 echo "==> go test -bench TelemetryOff/On (count=$count)"
 go test -run xxx -bench 'BenchmarkTelemetry(Off|On)$' -benchmem -count "$count" "$@" . | tee /tmp/bench_telemetry.txt
 
-# Reduce the runs to mean ns/op per benchmark and the relative overhead.
+# Reduce the runs to mean ns/op per benchmark and the relative overhead,
+# plus the uninstrumented run's allocations per op.
 awk '
-/^BenchmarkTelemetryOff/ { off += $3; noff++ }
+function metric(unit,   i) { for (i = 1; i <= NF; i++) if ($i == unit) return $(i-1); return 0 }
+/^BenchmarkTelemetryOff/ { off += $3; offa += metric("allocs/op"); offb += metric("B/op"); noff++ }
 /^BenchmarkTelemetryOn/  { on  += $3; non++  }
 END {
     if (noff == 0 || non == 0) { print "no benchmark output" > "/dev/stderr"; exit 1 }
@@ -87,6 +89,8 @@ END {
     printf "  \"benchmark\": \"CG class A, 4 ranks, dedicated\",\n"
     printf "  \"runs\": %d,\n", noff
     printf "  \"telemetry_off_ns_op\": %.0f,\n", moff
+    printf "  \"telemetry_off_allocs_op\": %.0f,\n", offa / noff
+    printf "  \"telemetry_off_bytes_op\": %.0f,\n", offb / noff
     printf "  \"telemetry_on_ns_op\": %.0f,\n", mon
     printf "  \"overhead_pct\": %.2f\n", 100 * (mon - moff) / moff
     printf "}\n"
