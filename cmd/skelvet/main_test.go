@@ -6,6 +6,12 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"perfskel"
+	"perfskel/internal/cluster"
+	"perfskel/internal/mpi"
+	"perfskel/internal/nas"
+	"perfskel/internal/trace"
 )
 
 // buildSkelvet compiles the command once per test binary.
@@ -102,5 +108,71 @@ func TestStaticDiffClean(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("static-diff output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestVerifySignature turns the EXPERIMENTS.md seeded-drift recipe into
+// a test: a pristine generated skeleton verifies against its signature,
+// swapping a collective is reported as signature drift, and a source
+// whose K can be neither parsed nor given is a usage error.
+func TestVerifySignature(t *testing.T) {
+	app, err := nas.App("CG", nas.Class("S"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := trace.NewRecorder(4)
+	dur, err := mpi.Run(cluster.Build(cluster.Testbed(4), cluster.Dedicated()), 4, mpi.Config{}, rec, app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, sig, err := perfskel.Construct(rec.Finish(dur), perfskel.WithK(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	sigPath := filepath.Join(dir, "cg.sig.json")
+	if err := sig.Save(sigPath); err != nil {
+		t.Fatal(err)
+	}
+	src := perfskel.GoSource(prog)
+	write := func(name, text string) string {
+		t.Helper()
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+
+	pristine := write("cg_skel.go", src)
+	if code, out := run(t, "-verify-signature", sigPath, pristine); code != 0 {
+		t.Fatalf("pristine skeleton: exit %d, want 0\n%s", code, out)
+	}
+
+	if !strings.Contains(src, "c.Allreduce(") {
+		t.Fatal("CG skeleton source has no Allreduce to swap")
+	}
+	drift := write("cg_drift.go", strings.ReplaceAll(src, "c.Allreduce(", "c.Reduce(0, "))
+	code, out := run(t, "-verify-signature", sigPath, drift)
+	if code != 1 {
+		t.Fatalf("drifted skeleton: exit %d, want 1\n%s", code, out)
+	}
+	for _, want := range []string{"signature-mismatch", "MPI_Allreduce(", ") vs MPI_Reduce("} {
+		if !strings.Contains(out, want) {
+			t.Errorf("drift report missing %q:\n%s", want, out)
+		}
+	}
+
+	const marker = "Scaling factor K = "
+	if !strings.Contains(src, marker) {
+		t.Fatalf("generated source has no %q header", marker)
+	}
+	headless := write("cg_headless.go", strings.ReplaceAll(src, marker, "Scaling factor: "))
+	code, out = run(t, "-verify-signature", sigPath, headless)
+	if code != 2 {
+		t.Fatalf("source without K header: exit %d, want 2\n%s", code, out)
+	}
+	if !strings.Contains(out, `no "Scaling factor K =" header`) {
+		t.Errorf("missing-header error does not say so:\n%s", out)
 	}
 }

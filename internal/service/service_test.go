@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +12,14 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"perfskel/internal/analysis"
+	"perfskel/internal/analysis/commgraph"
+	"perfskel/internal/analysis/staticsig"
+	"perfskel/internal/campaign"
+	"perfskel/internal/cluster"
+	"perfskel/internal/predict"
+	"perfskel/internal/skeleton"
 )
 
 // predictBody is the canonical test request: CG class S at 4 ranks,
@@ -334,4 +343,110 @@ func waitFor(t *testing.T, cond func() bool, what string) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatalf("timed out waiting for %s", what)
+}
+
+// TestStaticPredict pins a successful trace-free /predict: the
+// prediction equals one assembled here from an independent static
+// synthesis, the campaign engine's skeleton runs and predict.Predict,
+// with the synthesized signature's modeled time as the dedicated
+// baseline. Static requests bypass the body cache, so a repeat is a
+// miss with a byte-identical body. A target-time request derives K from
+// that same modeled time.
+func TestStaticPredict(t *testing.T) {
+	const body = `{"app":"CG","class":"S","ranks":4,"scenario":"cpu-one-node","k":8,"source_pkg":"perfskel/internal/nas"}`
+	_, ts := newTestServer(t, Config{Workers: 2})
+	r1, cold := post(t, ts, body)
+	if r1.StatusCode != http.StatusOK {
+		t.Fatalf("static request: %d %s", r1.StatusCode, cold)
+	}
+	r2, warm := post(t, ts, body)
+	if r2.StatusCode != http.StatusOK {
+		t.Fatalf("repeat static request: %d %s", r2.StatusCode, warm)
+	}
+	for i, r := range []*http.Response{r1, r2} {
+		if h := r.Header.Get("X-Skeletond-Cache"); h != "miss" {
+			t.Errorf("static request %d cache header = %q, want miss", i+1, h)
+		}
+	}
+	if !bytes.Equal(cold, warm) {
+		t.Fatalf("repeat body differs:\n%s\nvs\n%s", warm, cold)
+	}
+	var out Response
+	if err := json.Unmarshal(cold, &out); err != nil {
+		t.Fatalf("decode response: %v", err)
+	}
+
+	loader, err := analysis.NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := loader.Load("perfskel/internal/nas")
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := staticsig.Extract(commgraph.Source{Fset: pkg.Fset, Files: pkg.Files, Info: pkg.Info}, "CG")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := par.Instantiate(4, "S")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := cluster.ByName("cpu-one-node", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := campaign.New(campaign.Config{Workers: 1})
+	cell := campaign.Cell{
+		App:    campaign.StaticApp(&campaign.StaticSig{Key: inst.Key, Sig: inst.Sig}),
+		NRanks: 4, Scenario: sc, K: 8,
+	}
+	skelScen, err := eng.Run(cell)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dedCell := cell
+	dedCell.Scenario = cluster.Dedicated()
+	skelDed, err := eng.Run(dedCell)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appTime := inst.Sig.AppTime
+	want := campaign.Prediction{
+		App: cell.App.ID, NRanks: 4, K: 8, Scenario: sc.Name,
+		AppDedicated:  appTime,
+		SkelDedicated: skelDed.Time,
+		SkelScenario:  skelScen.Time,
+		Predicted:     predict.Predict(skelScen.Time, predict.Ratio(appTime, skelDed.Time)),
+	}
+	if out.Prediction != want {
+		t.Errorf("static prediction\n got %+v\nwant %+v", out.Prediction, want)
+	}
+	if out.K != 8 {
+		t.Errorf("effective K = %d, want 8", out.K)
+	}
+	if !strings.HasSuffix(out.Cache.Key, "|src="+inst.SourceHash) {
+		t.Errorf("cache key %q does not end in the source hash %s", out.Cache.Key, inst.SourceHash)
+	}
+
+	const target = 0.1
+	wantK, err := skeleton.KForTime(appTime, target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, tb := post(t, ts, fmt.Sprintf(`{"app":"CG","class":"S","ranks":4,"scenario":"cpu-one-node","target_time_s":%g,"source_pkg":"perfskel/internal/nas"}`, target))
+	if rt.StatusCode != http.StatusOK {
+		t.Fatalf("static target-time request: %d %s", rt.StatusCode, tb)
+	}
+	var tout Response
+	if err := json.Unmarshal(tb, &tout); err != nil {
+		t.Fatalf("decode target-time response: %v", err)
+	}
+	if tout.K != wantK || tout.Prediction.K != wantK {
+		t.Errorf("target-time K = %d (prediction K %d), want KForTime(%g, %g) = %d",
+			tout.K, tout.Prediction.K, appTime, target, wantK)
+	}
+	if tout.Prediction.AppDedicated != appTime {
+		t.Errorf("target-time dedicated baseline = %g, want the modeled app time %g", tout.Prediction.AppDedicated, appTime)
+	}
 }
