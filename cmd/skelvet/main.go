@@ -51,6 +51,7 @@ import (
 
 	"perfskel/internal/analysis"
 	"perfskel/internal/analysis/commgraph"
+	"perfskel/internal/analysis/staticsig"
 	"perfskel/internal/signature"
 	"perfskel/internal/skeleton"
 )
@@ -299,11 +300,11 @@ func verifySignature(pkg *analysis.Package, sigPath string, k int) ([]analysis.D
 	if len(machines) != 1 {
 		return mismatch(fmt.Sprintf("expected one communication machine in the skeleton source, extracted %d", len(machines))), nil, nil
 	}
-	static := machines[0].StaticSignature()
-	if static == nil {
-		return mismatch(fmt.Sprintf("extraction was approximate, no static signature recovered: %s",
-			strings.Join(machines[0].Approx, "; "))), nil, nil
+	lowered, err := staticsig.Lower(&machines[0], pkg.Fset)
+	if err != nil {
+		return mismatch(fmt.Sprintf("no static signature recovered: %v", err)), nil, nil
 	}
+	static := signature.Canon(lowered)
 	if d := want.Diff(static); d != "" {
 		return mismatch(fmt.Sprintf("source does not match the signature at K=%d: %s", k, d)), nil, nil
 	}

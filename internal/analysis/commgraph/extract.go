@@ -453,7 +453,7 @@ func (x *extractor) forStmt(s *ast.ForStmt) ([]Node, bool) {
 	if trip.Count >= 2 && x.env.SameExcept(snap, loopScoped) {
 		body1, ret := runIter(1)
 		if !ret && x.env.SameExcept(snap, loopScoped) && equalSeq(body0, body1) {
-			return []Node{{Count: trip.Count, Body: body0}}, false
+			return []Node{{Count: trip.Count, Body: body0, Pos: s.For}}, false
 		}
 		out = append(out, body0...)
 		out = append(out, body1...)

@@ -94,11 +94,12 @@ func (o *Op) String() string {
 }
 
 // Node is one element of a rank's program: a leaf op, or a counted
-// loop over a body.
+// loop over a body. Pos is a loop's for keyword.
 type Node struct {
 	Op    *Op
 	Count int64
 	Body  []Node
+	Pos   token.Pos
 }
 
 // Machine is the extracted automaton product for one entry point: one

@@ -218,10 +218,6 @@ func (p *Parametric) Instantiate(nranks int, class string) (*Instance, error) {
 		}
 	}
 	m := commgraph.ExtractFunc(p.src, p.App, ab.pos, ab.body, nranks, prebind)
-	if len(m.Approx) > 0 {
-		return nil, fmt.Errorf("staticsig: %s class %s on %d ranks: extraction is approximate:\n  %s",
-			p.App, class, nranks, joinLines(m.Approx))
-	}
 	conv, err := convert(&m, p.src.Fset)
 	if err != nil {
 		return nil, fmt.Errorf("staticsig: %s class %s on %d ranks: %w", p.App, class, nranks, err)
@@ -311,15 +307,4 @@ func argmaxRank(s *signature.Signature) int {
 		}
 	}
 	return best
-}
-
-func joinLines(lines []string) string {
-	out := ""
-	for i, l := range lines {
-		if i > 0 {
-			out += "\n  "
-		}
-		out += l
-	}
-	return out
 }

@@ -3,6 +3,7 @@ package staticsig
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"perfskel/internal/analysis"
@@ -63,33 +64,40 @@ func Ring(class string) func(c *Comm) {
 }
 `
 
+// ringModule writes src as package ring of a throwaway module in dir
+// and loads it.
+func ringModule(t *testing.T, dir, src string) commgraph.Source {
+	t.Helper()
+	for name, body := range map[string]string{
+		"go.mod":       "module example.com/ring\n",
+		"ring/ring.go": src,
+	} {
+		p := filepath.Join(dir, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	loader, err := analysis.NewLoader(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := loader.LoadDir(filepath.Join(dir, "ring"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return commgraph.Source{Fset: pkg.Fset, Files: pkg.Files, Info: pkg.Info}
+}
+
 // TestKeyIndependentOfCheckoutPath: two checkouts of byte-identical
 // source in differently named directories must content-address to the
 // same instance key (the campaign app ID, cache address and service
 // synthesis key all derive from it).
 func TestKeyIndependentOfCheckoutPath(t *testing.T) {
 	key := func(dir string) string {
-		for name, body := range map[string]string{
-			"go.mod":       "module example.com/ring\n",
-			"ring/ring.go": ringSource,
-		} {
-			p := filepath.Join(dir, filepath.FromSlash(name))
-			if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		loader, err := analysis.NewLoader(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pkg, err := loader.LoadDir(filepath.Join(dir, "ring"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := Extract(commgraph.Source{Fset: pkg.Fset, Files: pkg.Files, Info: pkg.Info}, "Ring")
+		par, err := Extract(ringModule(t, dir, ringSource), "Ring")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,5 +112,42 @@ func TestKeyIndependentOfCheckoutPath(t *testing.T) {
 	b := key(filepath.Join(tmp, "elsewhere", "second-checkout"))
 	if a != b {
 		t.Errorf("identical source under two paths keyed differently:\n  %s\n  %s", a, b)
+	}
+}
+
+// TestExpandedOperationBound: nested loop counts multiply to 2^90
+// Barriers per rank. The expanded count must be rejected, naming the
+// loop whose count crosses the bound (the second one), not wrap to zero
+// and pass for a program with no operations.
+func TestExpandedOperationBound(t *testing.T) {
+	const src = `package ring
+
+type Comm struct{}
+
+func (c *Comm) Barrier() {}
+
+func Deep(class string) func(c *Comm) {
+	return func(c *Comm) {
+		for i := 0; i < 1<<30; i++ {
+			for j := 0; j < 1<<30; j++ {
+				for k := 0; k < 1<<30; k++ {
+					c.Barrier()
+				}
+			}
+		}
+	}
+}
+`
+	par, err := Extract(ringModule(t, t.TempDir(), src), "Deep")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = par.Instantiate(2, "S")
+	if err == nil {
+		t.Fatal("Instantiate accepted 2^90 operations per rank")
+	}
+	want := "ring.go:10:4 expands a rank past 1073741824 operations"
+	if !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not name the loop (want %q)", err, want)
 	}
 }

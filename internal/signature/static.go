@@ -8,13 +8,12 @@ import (
 	"perfskel/internal/mpi"
 )
 
-// This file defines the canonical signature form shared by the three
+// This file defines the canonical signature form shared by the two
 // producers that must agree for static signature verification:
 //
-//   - Canon (below) maps a dynamic Signature onto it;
-//   - skeleton.Canon maps a generated skeleton Program onto it;
-//   - commgraph.(*Machine).StaticSignature maps the communication
-//     automaton recovered from skeleton *source code* onto it.
+//   - Canon (below) maps a Signature onto it: a dynamic one, or the one
+//     staticsig.Lower recovers from skeleton *source code*;
+//   - skeleton.Canon maps a generated skeleton Program onto it.
 //
 // A generated skeleton is only trusted when the form recovered from its
 // source equals the form of the program it was generated from exactly,

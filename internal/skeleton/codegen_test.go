@@ -7,6 +7,7 @@ import (
 
 	"perfskel/internal/analysis"
 	"perfskel/internal/analysis/commgraph"
+	"perfskel/internal/analysis/staticsig"
 	"perfskel/internal/mpi"
 	"perfskel/internal/signature"
 )
@@ -46,14 +47,11 @@ func gateGoSource(t *testing.T, name, src string, p *Program) *signature.CanonSi
 	if len(machines) != 1 {
 		t.Fatalf("%s: extracted %d communication machines from generated source, want 1", name, len(machines))
 	}
-	m := &machines[0]
-	if len(m.Approx) > 0 {
-		t.Fatalf("%s: extraction was approximate: %v", name, m.Approx)
+	lowered, err := staticsig.Lower(&machines[0], pkg.Fset)
+	if err != nil {
+		t.Fatalf("%s: no static signature recovered: %v", name, err)
 	}
-	got := m.StaticSignature()
-	if got == nil {
-		t.Fatalf("%s: no static signature recovered", name)
-	}
+	got := signature.Canon(lowered)
 	if d := Canon(p).Diff(got); d != "" {
 		t.Errorf("%s: static signature from source differs from skeleton program: %s", name, d)
 	}

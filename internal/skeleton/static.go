@@ -5,11 +5,10 @@ import (
 )
 
 // Canon maps a skeleton program onto the canonical signature form
-// (signature.CanonSignature): the representation the static extractor
-// (internal/analysis/commgraph) recovers from generated skeleton
-// source. The codegen gate requires Canon(p) to equal the canonical
-// form extracted back from GoSource(p), proving the emitted program
-// performs exactly the operations the skeleton prescribes.
+// (signature.CanonSignature). The codegen gate requires Canon(p) to
+// equal signature.Canon of the signature staticsig.Lower recovers from
+// GoSource(p), proving the emitted program performs exactly the
+// operations the skeleton prescribes.
 func Canon(p *Program) *signature.CanonSignature {
 	cs := &signature.CanonSignature{NRanks: p.NRanks}
 	for _, seq := range p.PerRank {
