@@ -3,7 +3,6 @@ package perfskel
 import (
 	"context"
 	"fmt"
-	"os"
 
 	"perfskel/internal/analysis"
 	"perfskel/internal/analysis/commgraph"
@@ -97,21 +96,7 @@ func synthesizeStatic(cfg constructConfig) (*staticsig.Instance, error) {
 	if cfg.staticApp == "" || cfg.staticRanks < 1 || cfg.staticClass == "" {
 		return nil, fmt.Errorf("perfskel: WithStaticSource needs WithStaticApp(name, nranks, class)")
 	}
-	root := "."
-	isDir := false
-	if st, err := os.Stat(cfg.staticPkg); err == nil && st.IsDir() {
-		root, isDir = cfg.staticPkg, true
-	}
-	loader, err := analysis.NewLoader(root)
-	if err != nil {
-		return nil, err
-	}
-	var pkg *analysis.Package
-	if isDir {
-		pkg, err = loader.LoadDir(cfg.staticPkg)
-	} else {
-		pkg, err = loader.Load(cfg.staticPkg)
-	}
+	pkg, err := analysis.LoadPath(cfg.staticPkg)
 	if err != nil {
 		return nil, err
 	}

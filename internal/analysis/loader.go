@@ -141,6 +141,24 @@ func NewLoader(root string) (*Loader, error) {
 	}, nil
 }
 
+// LoadPath loads the package p names with a fresh loader: a directory,
+// under the module that contains it, or else a module-local import
+// path of the module containing the working directory.
+func LoadPath(p string) (*Package, error) {
+	root, isDir := ".", false
+	if st, err := os.Stat(p); err == nil && st.IsDir() {
+		root, isDir = p, true
+	}
+	l, err := NewLoader(root)
+	if err != nil {
+		return nil, err
+	}
+	if isDir {
+		return l.LoadDir(p)
+	}
+	return l.Load(p)
+}
+
 // Summaries returns the loader's shared dataflow summary cache,
 // resolving callees across every package the loader has type-checked.
 func (l *Loader) Summaries() *dataflow.Summaries {

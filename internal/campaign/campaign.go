@@ -66,9 +66,10 @@ type StaticSig struct {
 // StaticApp wraps a statically synthesized signature as a campaign app.
 // Skeleton cells (K >= 1) build directly from the signature with no
 // trace dependency; application cells (K == 0) are rejected because a
-// static app carries no program body to simulate. Attach Fn afterwards
-// to mix static skeleton cells with traced app-run cells of the same
-// program.
+// static app carries no program body to simulate, and predictions take
+// the signature's modeled AppTime as their dedicated baseline. Attach
+// Fn afterwards to mix static skeleton cells with traced app-run cells
+// (and a simulated baseline) of the same program.
 func StaticApp(s *StaticSig) App {
 	return App{ID: "static:" + s.Key, Static: s}
 }

@@ -84,9 +84,10 @@ type Prediction struct {
 }
 
 // Predict runs one cell's full prediction: dedicated application
-// baseline, dedicated skeleton run (the scaling ratio), and the skeleton
-// probe under the cell's scenario. All three sub-runs go through the
-// cache, so a campaign's shared baselines are simulated once.
+// baseline (AppDedicatedTime), dedicated skeleton run (the scaling
+// ratio), and the skeleton probe under the cell's scenario. All
+// sub-runs go through the cache, so a campaign's shared baselines are
+// simulated once.
 func (e *Engine) Predict(c Cell) (Prediction, error) {
 	return e.predict(context.Background(), c, false)
 }
@@ -106,10 +107,7 @@ func (e *Engine) predict(ctx context.Context, c Cell, measure bool) (Prediction,
 	if c.K < 1 {
 		return Prediction{}, fmt.Errorf("campaign: Predict needs K >= 1, got %d: %w", c.K, skeleton.ErrBadK)
 	}
-	appDedCell := c
-	appDedCell.K = 0
-	appDedCell.Scenario = cluster.Dedicated()
-	appDed, err := e.RunContext(ctx, appDedCell)
+	appDed, err := e.AppDedicatedTime(ctx, c)
 	if err != nil {
 		return Prediction{}, err
 	}
@@ -125,10 +123,10 @@ func (e *Engine) predict(ctx context.Context, c Cell, measure bool) (Prediction,
 	}
 	p := Prediction{
 		App: c.App.ID, NRanks: c.NRanks, K: c.K, Scenario: c.Scenario.Name,
-		AppDedicated:  appDed.Time,
+		AppDedicated:  appDed,
 		SkelDedicated: skelDed.Time,
 		SkelScenario:  skelScen.Time,
-		Predicted:     predict.Predict(skelScen.Time, predict.Ratio(appDed.Time, skelDed.Time)),
+		Predicted:     predict.Predict(skelScen.Time, predict.Ratio(appDed, skelDed.Time)),
 	}
 	if measure {
 		actCell := c
@@ -142,6 +140,24 @@ func (e *Engine) predict(ctx context.Context, c Cell, measure bool) (Prediction,
 		p.ErrorPct = predict.ErrorPct(p.Predicted, act.Time)
 	}
 	return p, nil
+}
+
+// AppDedicatedTime returns the dedicated application baseline a
+// prediction for cell c scales by: the application's simulated run
+// under the dedicated scenario when it has a program body (App.Fn),
+// the static signature's modeled AppTime otherwise. c's K and Scenario
+// are ignored.
+func (e *Engine) AppDedicatedTime(ctx context.Context, c Cell) (float64, error) {
+	if c.App.Fn == nil && c.App.Static != nil && c.App.Static.Sig != nil {
+		return c.App.Static.Sig.AppTime, nil
+	}
+	c.K = 0
+	c.Scenario = cluster.Dedicated()
+	r, err := e.RunContext(ctx, c)
+	if err != nil {
+		return 0, err
+	}
+	return r.Time, nil
 }
 
 // PredictAll runs every cell of the grid through the worker pool and

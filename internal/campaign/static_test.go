@@ -1,10 +1,12 @@
 package campaign
 
 import (
+	"strings"
 	"testing"
 
 	"perfskel/internal/cluster"
 	"perfskel/internal/mpi"
+	"perfskel/internal/predict"
 	"perfskel/internal/signature"
 	"perfskel/internal/trace"
 )
@@ -120,5 +122,51 @@ func TestStaticCellCacheIdentity(t *testing.T) {
 	}
 	if st := e.Stats(); st.Sims != 2 {
 		t.Errorf("new content key reused old cell: %d sims, want 2", st.Sims)
+	}
+}
+
+// TestStaticPredictWithoutBody pins the body-less static prediction:
+// the signature's modeled AppTime is the dedicated baseline, so a cell
+// costs exactly the two skeleton simulations and no application run.
+// Measuring the application still needs a program body.
+func TestStaticPredictWithoutBody(t *testing.T) {
+	s := staticTestSig(t)
+	sc, err := cluster.ByName("cpu-one-node", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(Config{Workers: 1})
+	c := Cell{App: StaticApp(s), NRanks: 2, Scenario: sc, K: 4}
+	got, err := e.Predict(c)
+	if err != nil {
+		t.Fatalf("Predict: %v", err)
+	}
+	if n := e.Stats().Sims; n != 2 {
+		t.Errorf("static prediction executed %d simulations, want 2 (dedicated and scenario skeleton runs)", n)
+	}
+	skelScen, err := e.Run(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ded := c
+	ded.Scenario = cluster.Dedicated()
+	skelDed, err := e.Run(ded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Prediction{
+		App: c.App.ID, NRanks: 2, K: 4, Scenario: sc.Name,
+		AppDedicated:  s.Sig.AppTime,
+		SkelDedicated: skelDed.Time,
+		SkelScenario:  skelScen.Time,
+		Predicted:     predict.Predict(skelScen.Time, predict.Ratio(s.Sig.AppTime, skelDed.Time)),
+	}
+	if got != want {
+		t.Errorf("static prediction\n got %+v\nwant %+v", got, want)
+	}
+
+	g := Grid{Apps: []App{StaticApp(s)}, NRanks: 2, Scenarios: []cluster.Scenario{sc}, Ks: []int{4}, MeasureApp: true}
+	if _, err := e.PredictAll(g); err == nil || !strings.Contains(err.Error(), "no program body") {
+		t.Errorf("MeasureApp on a static app without a program body: err = %v, want a no-program-body error", err)
 	}
 }

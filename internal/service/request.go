@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"strings"
 
 	"perfskel/internal/analysis"
@@ -169,7 +168,7 @@ func (s *Server) compute(ctx context.Context, req Request) (*Response, error) {
 
 	k := req.K
 	if k == 0 {
-		appTime, err := s.appDedicatedTime(ctx, cell, app)
+		appTime, err := s.eng.AppDedicatedTime(ctx, cell)
 		if err != nil {
 			return nil, err
 		}
@@ -179,7 +178,7 @@ func (s *Server) compute(ctx context.Context, req Request) (*Response, error) {
 	}
 	cell.K = k
 
-	pred, err := s.predictCell(ctx, cell, app)
+	pred, err := s.eng.PredictContext(ctx, cell)
 	if err != nil {
 		return nil, err
 	}
@@ -235,21 +234,7 @@ func (s *Server) resolveApp(req Request) (campaign.App, string, error) {
 // are the caller's fault (bad path, un-analyzable program) and map to
 // 400.
 func (s *Server) synthesize(req Request) (*staticsig.Instance, error) {
-	root := "."
-	isDir := false
-	if st, err := os.Stat(req.SourcePkg); err == nil && st.IsDir() {
-		root, isDir = req.SourcePkg, true
-	}
-	loader, err := analysis.NewLoader(root)
-	if err != nil {
-		return nil, err
-	}
-	var pkg *analysis.Package
-	if isDir {
-		pkg, err = loader.LoadDir(req.SourcePkg)
-	} else {
-		pkg, err = loader.Load(req.SourcePkg)
-	}
+	pkg, err := analysis.LoadPath(req.SourcePkg)
 	if err != nil {
 		return nil, fmt.Errorf("load %q: %w: %w", req.SourcePkg, err, ErrBadRequest)
 	}
@@ -262,51 +247,6 @@ func (s *Server) synthesize(req Request) (*staticsig.Instance, error) {
 		return nil, fmt.Errorf("instantiate: %w: %w", err, ErrBadRequest)
 	}
 	return inst, nil
-}
-
-// appDedicatedTime returns the application's dedicated baseline time:
-// the simulated run for built-in apps, the synthesized signature's
-// modeled app time for static ones (which carry no runnable body).
-func (s *Server) appDedicatedTime(ctx context.Context, cell campaign.Cell, app campaign.App) (float64, error) {
-	if app.Static != nil {
-		return app.Static.Sig.AppTime, nil
-	}
-	ded := cell
-	ded.K = 0
-	ded.Scenario = cluster.Dedicated()
-	r, err := s.eng.RunContext(ctx, ded)
-	if err != nil {
-		return 0, err
-	}
-	return r.Time, nil
-}
-
-// predictCell produces the cell's prediction. Built-in apps go through
-// the engine's full prediction path; static apps (no runnable body)
-// substitute the signature's modeled app time for the simulated
-// dedicated baseline.
-func (s *Server) predictCell(ctx context.Context, cell campaign.Cell, app campaign.App) (campaign.Prediction, error) {
-	if app.Static == nil {
-		return s.eng.PredictContext(ctx, cell)
-	}
-	skelDedCell := cell
-	skelDedCell.Scenario = cluster.Dedicated()
-	skelDed, err := s.eng.RunContext(ctx, skelDedCell)
-	if err != nil {
-		return campaign.Prediction{}, err
-	}
-	skelScen, err := s.eng.RunContext(ctx, cell)
-	if err != nil {
-		return campaign.Prediction{}, err
-	}
-	appTime := app.Static.Sig.AppTime
-	return campaign.Prediction{
-		App: app.ID, NRanks: cell.NRanks, K: cell.K, Scenario: cell.Scenario.Name,
-		AppDedicated:  appTime,
-		SkelDedicated: skelDed.Time,
-		SkelScenario:  skelScen.Time,
-		Predicted:     predict.Predict(skelScen.Time, predict.Ratio(appTime, skelDed.Time)),
-	}, nil
 }
 
 // badRequest reports whether err is the caller's fault: the service
