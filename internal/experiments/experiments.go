@@ -27,7 +27,6 @@ type Config struct {
 	Ranks      int
 	Benchmarks []string
 	Sizes      []float64
-	Sequential bool      // serialize all simulations (campaign with one worker)
 	Workers    int       // campaign worker-pool size; 0 means GOMAXPROCS
 	CacheDir   string    // optional on-disk campaign cache, reused across runs
 	Progress   io.Writer // optional progress log
@@ -119,11 +118,7 @@ func Run(cfg Config) (*Results, error) {
 		res.Scenarios = append(res.Scenarios, sc.Name)
 	}
 
-	workers := cfg.Workers
-	if cfg.Sequential {
-		workers = 1
-	}
-	eng := campaign.New(campaign.Config{Workers: workers, CacheDir: cfg.CacheDir})
+	eng := campaign.New(campaign.Config{Workers: cfg.Workers, CacheDir: cfg.CacheDir})
 
 	progress := func(format string, args ...interface{}) {}
 	var progressMu sync.Mutex

@@ -171,7 +171,7 @@ func TestSequentialAndParallelAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Sequential = true
+	cfg.Workers = 1
 	seq, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
