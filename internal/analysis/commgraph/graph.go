@@ -113,28 +113,6 @@ type Machine struct {
 	Approx []string
 }
 
-// NumOps returns the total number of leaf ops across all ranks,
-// counting loop bodies once.
-func (m *Machine) NumOps() int {
-	var walk func(seq []Node) int
-	walk = func(seq []Node) int {
-		n := 0
-		for _, nd := range seq {
-			if nd.Op != nil {
-				n++
-			} else {
-				n += walk(nd.Body)
-			}
-		}
-		return n
-	}
-	total := 0
-	for _, r := range m.Ranks {
-		total += walk(r)
-	}
-	return total
-}
-
 // Dump renders the machine as indented text for `skelvet -commgraph`.
 func (m *Machine) Dump(fset *token.FileSet) string {
 	var b strings.Builder

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"perfskel/internal/campaign"
 	"perfskel/internal/cluster"
 	"perfskel/internal/mpi"
 	"perfskel/internal/nas"
@@ -13,41 +14,18 @@ import (
 )
 
 // Ablations exercise the design choices DESIGN.md calls out, each as a
-// small focused experiment that returns a rendered table.
+// small focused experiment that returns a rendered table. Predictions
+// come from a campaign engine, as the paper figures' do.
 
-// ablationEnv traces one benchmark on the dedicated testbed.
-func ablationEnv(ranks int, bench string, class nas.Class) (*trace.Trace, float64, error) {
-	app, err := nas.App(bench, class)
+// classB returns the benchmark's class B campaign app and its dedicated
+// execution time on eng.
+func classB(eng *campaign.Engine, ranks int, bench string) (campaign.App, float64, error) {
+	app, err := campaign.NASApp(bench, nas.ClassB)
 	if err != nil {
-		return nil, 0, err
+		return campaign.App{}, 0, err
 	}
-	dur, tr, err := runApp(ranks, cluster.Dedicated(), app, true)
-	if err != nil {
-		return nil, 0, err
-	}
-	return tr, dur, nil
-}
-
-// skelError builds a skeleton from sig with opts and returns its
-// prediction error (%) for the benchmark under sc.
-func skelError(ranks int, sig *signature.Signature, k int, opts skeleton.Options,
-	appDed, appActual float64, sc cluster.Scenario) (float64, error) {
-	prog, err := skeleton.BuildOpts(sig, k, opts)
-	if err != nil {
-		return 0, err
-	}
-	clDed := cluster.Build(cluster.Testbed(ranks), cluster.Dedicated())
-	ded, err := skeleton.Run(prog, clDed, mpi.Config{}, nil)
-	if err != nil {
-		return 0, err
-	}
-	clSc := cluster.Build(cluster.Testbed(ranks), sc)
-	got, err := skeleton.Run(prog, clSc, mpi.Config{}, nil)
-	if err != nil {
-		return 0, err
-	}
-	pred := predict.Predict(got, predict.Ratio(appDed, ded))
-	return predict.ErrorPct(pred, appActual), nil
+	ded, err := eng.Run(campaign.Cell{App: app, NRanks: ranks, Scenario: cluster.Dedicated()})
+	return app, ded.Time, err
 }
 
 // AblationScaleMode compares the paper's byte scaling against
@@ -55,28 +33,19 @@ func skelError(ranks int, sig *signature.Signature, k int, opts skeleton.Options
 // skeletons under the network-sharing scenarios, where the unscalable
 // latency of byte-scaled messages hurts most.
 func AblationScaleMode(ranks int) (Table, error) {
-	tr, appDed, err := ablationEnv(ranks, "BT", nas.ClassB)
+	eng := campaign.New(campaign.Config{})
+	app, appDed, err := classB(eng, ranks, "BT")
 	if err != nil {
 		return Table{}, err
 	}
-	app, _ := nas.App("BT", nas.ClassB)
 	scs := []cluster.Scenario{cluster.NetOneLink(), cluster.NetAllLinks(ranks), cluster.Combined()}
-	actual := make(map[string]float64)
-	for _, sc := range scs {
-		d, _, err := runApp(ranks, sc, app, false)
-		if err != nil {
-			return Table{}, err
-		}
-		actual[sc.Name] = d
-	}
 	t := Table{
 		Title:  "Ablation: communication scaling mode (BT class B, error %)",
 		Note:   "byte scaling keeps unreducible latency; time scaling assumes the environment",
 		Header: []string{"skeleton / mode", "net-one-link", "net-all-links", "combined"},
 	}
 	for _, size := range []float64{1, 0.5} {
-		k := int(appDed/size + 0.5)
-		_, sig, err := skeleton.BuildFromTrace(tr, k, skeleton.Options{})
+		k, err := skeleton.KForTime(appDed, size)
 		if err != nil {
 			return Table{}, err
 		}
@@ -85,13 +54,16 @@ func AblationScaleMode(ranks int) (Table, error) {
 			if mode == skeleton.TimeScale {
 				name = "time"
 			}
+			preds, err := eng.PredictAll(campaign.Grid{
+				Apps: []campaign.App{app}, NRanks: ranks, Scenarios: scs,
+				Ks: []int{k}, Mode: mode, MeasureApp: true,
+			})
+			if err != nil {
+				return Table{}, err
+			}
 			row := []string{fmt.Sprintf("%g s / %s", size, name)}
-			for _, sc := range scs {
-				e, err := skelError(ranks, sig, k, skeleton.Options{Mode: mode}, appDed, actual[sc.Name], sc)
-				if err != nil {
-					return Table{}, err
-				}
-				row = append(row, errS(e))
+			for _, p := range preds {
+				row = append(row, errS(p.ErrorPct))
 			}
 			t.Rows = append(t.Rows, row)
 		}
@@ -101,19 +73,30 @@ func AblationScaleMode(ranks int) (Table, error) {
 
 // AblationQHeuristic compares the paper's Q = K/2 compression target
 // against fixed similarity thresholds (DESIGN.md choice 4), reporting
-// signature size and prediction error for a 2-second CG skeleton.
+// signature size and prediction error for a 2-second CG skeleton. It
+// runs outside the campaign engine, which builds skeletons only from
+// its own Q = K/2 signatures.
 func AblationQHeuristic(ranks int) (Table, error) {
-	tr, appDed, err := ablationEnv(ranks, "CG", nas.ClassB)
+	app, err := nas.App("CG", nas.ClassB)
 	if err != nil {
 		return Table{}, err
 	}
-	app, _ := nas.App("CG", nas.ClassB)
+	testbed := func(sc cluster.Scenario) *cluster.Cluster { return cluster.Build(cluster.Testbed(ranks), sc) }
+	rec := trace.NewRecorder(ranks)
+	appDed, err := mpi.Run(testbed(cluster.Dedicated()), ranks, mpi.Config{}, rec, app)
+	if err != nil {
+		return Table{}, err
+	}
+	tr := rec.Finish(appDed)
 	sc := cluster.Combined()
-	actual, _, err := runApp(ranks, sc, app, false)
+	actual, err := mpi.Run(testbed(sc), ranks, mpi.Config{}, nil, app)
 	if err != nil {
 		return Table{}, err
 	}
-	k := int(appDed/2 + 0.5)
+	k, err := skeleton.KForTime(appDed, 2)
+	if err != nil {
+		return Table{}, err
+	}
 	t := Table{
 		Title:  "Ablation: similarity threshold selection (CG class B, 2 s skeleton)",
 		Note:   fmt.Sprintf("trace: %d events; K=%d; scenario: combined", tr.Len(), k),
@@ -134,16 +117,25 @@ func AblationQHeuristic(ranks int) (Table, error) {
 		if err != nil {
 			return Table{}, err
 		}
-		e, err := skelError(ranks, sig, k, skeleton.Options{}, appDed, actual, sc)
+		prog, err := skeleton.Build(sig, k)
 		if err != nil {
 			return Table{}, err
 		}
+		ded, err := skeleton.Run(prog, testbed(cluster.Dedicated()), mpi.Config{}, nil)
+		if err != nil {
+			return Table{}, err
+		}
+		got, err := skeleton.Run(prog, testbed(sc), mpi.Config{}, nil)
+		if err != nil {
+			return Table{}, err
+		}
+		pred := predict.Predict(got, predict.Ratio(appDed, ded))
 		t.Rows = append(t.Rows, []string{
 			st.name,
 			fmt.Sprintf("%.3f", sig.Threshold),
 			fmt.Sprintf("%d", sig.Len()),
 			fmt.Sprintf("%.0f", sig.Ratio),
-			errS(e),
+			errS(predict.ErrorPct(pred, actual)),
 		})
 	}
 	return t, nil
@@ -159,42 +151,28 @@ func AblationEagerThreshold(ranks int) (Table, error) {
 		Header: []string{"eager threshold", "app actual (s)", "predicted (s)", "error %"},
 	}
 	for _, eager := range []int64{4 << 10, 64 << 10, 1 << 20} {
-		cfg := mpi.Config{EagerThreshold: eager}
-		app, err := nas.App("MG", nas.ClassB)
+		eng := campaign.New(campaign.Config{MPI: mpi.Config{EagerThreshold: eager}})
+		app, appDed, err := classB(eng, ranks, "MG")
 		if err != nil {
 			return Table{}, err
 		}
-		clDed := cluster.Build(cluster.Testbed(ranks), cluster.Dedicated())
-		rec := trace.NewRecorder(ranks)
-		appDed, err := mpi.Run(clDed, ranks, cfg, rec, app)
+		k, err := skeleton.KForTime(appDed, 1)
 		if err != nil {
 			return Table{}, err
 		}
-		tr := rec.Finish(appDed)
-		clSc := cluster.Build(cluster.Testbed(ranks), cluster.Combined())
-		actual, err := mpi.Run(clSc, ranks, cfg, nil, app)
+		preds, err := eng.PredictAll(campaign.Grid{
+			Apps: []campaign.App{app}, NRanks: ranks,
+			Scenarios: []cluster.Scenario{cluster.Combined()}, Ks: []int{k}, MeasureApp: true,
+		})
 		if err != nil {
 			return Table{}, err
 		}
-		k := int(appDed + 0.5)
-		prog, _, err := skeleton.BuildFromTrace(tr, k, skeleton.Options{})
-		if err != nil {
-			return Table{}, err
-		}
-		sd, err := skeleton.Run(prog, cluster.Build(cluster.Testbed(ranks), cluster.Dedicated()), cfg, nil)
-		if err != nil {
-			return Table{}, err
-		}
-		ss, err := skeleton.Run(prog, cluster.Build(cluster.Testbed(ranks), cluster.Combined()), cfg, nil)
-		if err != nil {
-			return Table{}, err
-		}
-		pred := predict.Predict(ss, predict.Ratio(appDed, sd))
+		p := preds[0]
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d KiB", eager>>10),
-			fmt.Sprintf("%.1f", actual),
-			fmt.Sprintf("%.1f", pred),
-			errS(predict.ErrorPct(pred, actual)),
+			fmt.Sprintf("%.1f", p.AppActual),
+			fmt.Sprintf("%.1f", p.Predicted),
+			errS(p.ErrorPct),
 		})
 	}
 	return t, nil
@@ -204,17 +182,12 @@ func AblationEagerThreshold(ranks int) (Table, error) {
 // background traffic, a sharing mode outside the paper's deterministic
 // scenarios.
 func AblationCrossTraffic(ranks int) (Table, error) {
-	tr, appDed, err := ablationEnv(ranks, "MG", nas.ClassB)
+	eng := campaign.New(campaign.Config{})
+	app, appDed, err := classB(eng, ranks, "MG")
 	if err != nil {
 		return Table{}, err
 	}
-	app, _ := nas.App("MG", nas.ClassB)
-	k := int(appDed/2 + 0.5)
-	prog, _, err := skeleton.BuildFromTrace(tr, k, skeleton.Options{})
-	if err != nil {
-		return Table{}, err
-	}
-	ded, err := skeleton.Run(prog, cluster.Build(cluster.Testbed(ranks), cluster.Dedicated()), mpi.Config{}, nil)
+	k, err := skeleton.KForTime(appDed, 2)
 	if err != nil {
 		return Table{}, err
 	}
@@ -223,7 +196,7 @@ func AblationCrossTraffic(ranks int) (Table, error) {
 		Note:   "background flows between random node pairs; load = MeanBytes/MeanGap per generator",
 		Header: []string{"offered load", "app actual (s)", "predicted (s)", "error %"},
 	}
-	for _, load := range []struct {
+	loads := []struct {
 		name  string
 		gap   float64
 		bytes float64
@@ -231,24 +204,25 @@ func AblationCrossTraffic(ranks int) (Table, error) {
 		{"~10% of link", 0.010, 1.25e5},
 		{"~40% of link", 0.010, 5.0e5},
 		{"~70% of link", 0.008, 7.0e5},
-	} {
-		sc := cluster.WithCrossTraffic(cluster.Dedicated(), cluster.CrossTraffic{
+	}
+	var scs []cluster.Scenario
+	for _, load := range loads {
+		scs = append(scs, cluster.WithCrossTraffic(cluster.Dedicated(), cluster.CrossTraffic{
 			MeanGap: load.gap, MeanBytes: load.bytes, Seed: 11,
-		})
-		actual, _, err := runApp(ranks, sc, app, false)
-		if err != nil {
-			return Table{}, err
-		}
-		got, err := skeleton.Run(prog, cluster.Build(cluster.Testbed(ranks), sc), mpi.Config{}, nil)
-		if err != nil {
-			return Table{}, err
-		}
-		pred := predict.Predict(got, predict.Ratio(appDed, ded))
+		}))
+	}
+	preds, err := eng.PredictAll(campaign.Grid{
+		Apps: []campaign.App{app}, NRanks: ranks, Scenarios: scs, Ks: []int{k}, MeasureApp: true,
+	})
+	if err != nil {
+		return Table{}, err
+	}
+	for i, p := range preds {
 		t.Rows = append(t.Rows, []string{
-			load.name,
-			fmt.Sprintf("%.1f", actual),
-			fmt.Sprintf("%.1f", pred),
-			errS(predict.ErrorPct(pred, actual)),
+			loads[i].name,
+			fmt.Sprintf("%.1f", p.AppActual),
+			fmt.Sprintf("%.1f", p.Predicted),
+			errS(p.ErrorPct),
 		})
 	}
 	return t, nil

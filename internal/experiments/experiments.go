@@ -13,11 +13,9 @@ import (
 
 	"perfskel/internal/campaign"
 	"perfskel/internal/cluster"
-	"perfskel/internal/mpi"
 	"perfskel/internal/nas"
 	"perfskel/internal/predict"
 	"perfskel/internal/skeleton"
-	"perfskel/internal/trace"
 )
 
 // Config selects what to run. The zero value reproduces the paper's setup:
@@ -83,27 +81,6 @@ type Results struct {
 
 // scenarios returns the paper's five sharing scenarios for n nodes.
 func scenarios(n int) []cluster.Scenario { return cluster.PaperScenarios(n) }
-
-// runApp executes app under a scenario on a fresh testbed, optionally
-// tracing it.
-func runApp(ranks int, sc cluster.Scenario, app mpi.App, traced bool) (float64, *trace.Trace, error) {
-	cl := cluster.Build(cluster.Testbed(ranks), sc)
-	var rec *trace.Recorder
-	var mon mpi.Monitor
-	if traced {
-		rec = trace.NewRecorder(ranks)
-		mon = rec
-	}
-	dur, err := mpi.Run(cl, ranks, mpi.Config{}, mon, app)
-	if err != nil {
-		return 0, nil, err
-	}
-	var tr *trace.Trace
-	if traced {
-		tr = rec.Finish(dur)
-	}
-	return dur, tr, nil
-}
 
 // Run executes the full evaluation and returns the dataset behind every
 // figure. All simulations go through one campaign engine, so shared cells

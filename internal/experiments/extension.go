@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"perfskel/internal/campaign"
 	"perfskel/internal/cluster"
 	"perfskel/internal/mpi"
 	"perfskel/internal/nas"
@@ -24,30 +25,34 @@ func ExtensionProcScaling(from, to int) (Table, error) {
 		Header: []string{"benchmark", fmt.Sprintf("actual ded %dr (s)", to), "predicted (s)", "error %",
 			"actual shared (s)", "predicted (s)", "error %"},
 	}
+	eng := campaign.New(campaign.Config{})
 	sc := cluster.CPUOneNode()
 	for _, name := range append(nas.Benchmarks(), "FT", "EP") {
-		app, err := nas.App(name, nas.ClassA)
+		app, err := campaign.NASApp(name, nas.ClassA)
 		if err != nil {
 			return Table{}, err
 		}
-		// Trace and build at the small size.
-		dur4, tr, err := runApp(from, cluster.Dedicated(), app, true)
+		// Trace and build at the small size; the engine keeps the dedicated
+		// run's trace for Construct.
+		small := campaign.Cell{App: app, NRanks: from, Scenario: cluster.Dedicated()}
+		appDed, err := eng.Run(small)
 		if err != nil {
 			return Table{}, fmt.Errorf("%s trace: %w", name, err)
 		}
-		k := int(dur4/2 + 0.5)
-		if k < 2 {
-			k = 2
+		k, err := skeleton.KForTime(appDed.Time, 2)
+		if err != nil {
+			return Table{}, fmt.Errorf("%s skeleton K: %w", name, err)
 		}
-		prog, _, err := skeleton.BuildFromTrace(tr, k, skeleton.Options{})
+		small.K = max(k, 2)
+		prog, _, err := eng.Construct(small)
 		if err != nil {
 			return Table{}, fmt.Errorf("%s skeleton build: %w", name, err)
 		}
-		skelDed4, err := skeleton.Run(prog, cluster.Build(cluster.Testbed(from), cluster.Dedicated()), mpi.Config{}, nil)
+		skelDed, err := eng.Run(small)
 		if err != nil {
 			return Table{}, fmt.Errorf("%s skeleton at %d ranks: %w", name, from, err)
 		}
-		ratio := predict.Ratio(dur4, skelDed4)
+		ratio := predict.Ratio(appDed.Time, skelDed.Time)
 
 		big, err := skeleton.Rescale(prog, to)
 		if err != nil {
@@ -55,11 +60,11 @@ func ExtensionProcScaling(from, to int) (Table, error) {
 			continue
 		}
 		// Ground truth at the large size.
-		dedActual, _, err := runApp(to, cluster.Dedicated(), app, false)
+		dedActual, err := eng.Run(campaign.Cell{App: app, NRanks: to, Scenario: cluster.Dedicated()})
 		if err != nil {
 			return Table{}, fmt.Errorf("%s app at %d ranks: %w", name, to, err)
 		}
-		shActual, _, err := runApp(to, sc, app, false)
+		shActual, err := eng.Run(campaign.Cell{App: app, NRanks: to, Scenario: sc})
 		if err != nil {
 			return Table{}, fmt.Errorf("%s app shared at %d ranks: %w", name, to, err)
 		}
@@ -76,10 +81,10 @@ func ExtensionProcScaling(from, to int) (Table, error) {
 		shPred := predict.Predict(shSkel, ratio)
 		t.Rows = append(t.Rows, []string{
 			name,
-			fmt.Sprintf("%.1f", dedActual), fmt.Sprintf("%.1f", dedPred),
-			errS(predict.ErrorPct(dedPred, dedActual)),
-			fmt.Sprintf("%.1f", shActual), fmt.Sprintf("%.1f", shPred),
-			errS(predict.ErrorPct(shPred, shActual)),
+			fmt.Sprintf("%.1f", dedActual.Time), fmt.Sprintf("%.1f", dedPred),
+			errS(predict.ErrorPct(dedPred, dedActual.Time)),
+			fmt.Sprintf("%.1f", shActual.Time), fmt.Sprintf("%.1f", shPred),
+			errS(predict.ErrorPct(shPred, shActual.Time)),
 		})
 	}
 	return t, nil

@@ -12,7 +12,6 @@ import (
 	"perfskel/internal/campaign"
 	"perfskel/internal/cluster"
 	"perfskel/internal/nas"
-	"perfskel/internal/predict"
 	"perfskel/internal/signature"
 	"perfskel/internal/skeleton"
 	"perfskel/internal/trace"
@@ -178,7 +177,11 @@ func (s *Server) compute(ctx context.Context, req Request) (*Response, error) {
 	}
 	cell.K = k
 
-	pred, err := s.eng.PredictContext(ctx, cell)
+	preds, err := s.eng.PredictAllContext(ctx, campaign.Grid{
+		Apps: []campaign.App{app}, NRanks: req.Ranks,
+		Scenarios: []cluster.Scenario{sc}, Ks: []int{k},
+		Mode: mode, MeasureApp: req.Measure,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -186,24 +189,13 @@ func (s *Server) compute(ctx context.Context, req Request) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	if req.Measure {
-		actCell := cell
-		actCell.K = 0
-		act, err := s.eng.RunContext(ctx, actCell)
-		if err != nil {
-			return nil, err
-		}
-		pred.Measured = true
-		pred.AppActual = act.Time
-		pred.ErrorPct = predict.ErrorPct(pred.Predicted, act.Time)
-	}
 
 	echo := req
 	echo.TimeoutMS = 0
 	return &Response{
 		Request:    echo,
 		K:          k,
-		Prediction: pred,
+		Prediction: preds[0],
 		Profile:    skelScen.Stats,
 		Cache:      CacheInfo{Key: key},
 	}, nil

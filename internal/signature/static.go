@@ -17,7 +17,7 @@ import (
 //
 // A generated skeleton is only trusted when the form recovered from its
 // source equals the form of the program it was generated from exactly,
-// and is a scaled-down version (EquivScaled) of the application
+// and is a scaled-down version (ScaledDiff) of the application
 // signature it descends from.
 
 // CanonOp is one operation in canonical form. Only the parameters the
@@ -221,20 +221,15 @@ func seqStr(seq []CanonNode) string {
 	return strings.Join(parts, " ")
 }
 
-// EquivScaled reports whether skel is a scaled-down version of app:
+// ScaledDiff reports whether skel is a scaled-down version of app:
 // per rank, the communication structure must match once everything
 // scaling legitimately changes is abstracted away — loop counts
 // (divided by K), adjacent repetitions (groups of K identical
 // operations collapse to one), message sizes and compute work
 // (parameter adjustment). What must survive scaling untouched is the
 // sequence of communication shapes: kind, wait selector, peers, tag.
-func EquivScaled(app, skel *CanonSignature) bool {
-	return ScaledDiff(app, skel) == ""
-}
-
-// ScaledDiff returns a description of the first rank whose scaled
-// communication shape diverges, or "" when skel is a scaled-down
-// version of app.
+// It returns a description of the first rank whose shape diverges, or
+// "" when skel is a scaled-down version of app.
 func ScaledDiff(app, skel *CanonSignature) string {
 	if app == nil || skel == nil {
 		if app == skel {

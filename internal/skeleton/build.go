@@ -12,7 +12,8 @@ import (
 )
 
 // ErrBadK reports an unusable skeleton scaling factor — K below 1, or a
-// non-positive target time to derive it from. Callers branch on it with
+// target time K cannot be derived from (not positive and finite, or so
+// small the factor overflows an int). Callers branch on it with
 // errors.Is (the prediction service maps it to a 400).
 var ErrBadK = errors.New("bad scaling factor")
 
@@ -106,16 +107,23 @@ func BuildOpts(sig *signature.Signature, k int, opts Options) (*Program, error) 
 // execution time: K = round(appTime / target), at least 1, as the paper's
 // experiments do for their 10/5/2/1/0.5-second skeletons. Every
 // time-targeted construction path must derive K through this helper so
-// the paths cannot disagree at rounding boundaries.
+// the paths cannot disagree at rounding boundaries. A non-finite time,
+// or a ratio too large for an int, is ErrBadK rather than a silent K=1.
 func KForTime(appTime, target float64) (int, error) {
-	if target <= 0 {
-		return 0, fmt.Errorf("skeleton: target time must be positive, got %v: %w", target, ErrBadK)
+	if !(target > 0) || math.IsInf(target, 0) {
+		return 0, fmt.Errorf("skeleton: target time must be positive and finite, got %v: %w", target, ErrBadK)
 	}
-	k := int(math.Round(appTime / target))
-	if k < 1 {
-		k = 1
+	if math.IsNaN(appTime) || math.IsInf(appTime, 0) {
+		return 0, fmt.Errorf("skeleton: application time must be finite, got %v: %w", appTime, ErrBadK)
 	}
-	return k, nil
+	r := math.Round(appTime / target)
+	if r >= math.MaxInt {
+		return 0, fmt.Errorf("skeleton: scaling factor %v/%v does not fit in an int: %w", appTime, target, ErrBadK)
+	}
+	if r < 1 {
+		return 1, nil
+	}
+	return int(r), nil
 }
 
 // BuildForTime constructs a skeleton with an intended execution time,

@@ -1,6 +1,10 @@
 package skeleton
 
-import "testing"
+import (
+	"errors"
+	"math"
+	"testing"
+)
 
 // KForTime is the single K-derivation authority: BuildForTime and the
 // public trace-for-time construction path both delegate to it. The cases
@@ -30,9 +34,18 @@ func TestKForTime(t *testing.T) {
 			t.Errorf("KForTime(%v, %v) = %d, want %d", c.appTime, c.target, got, c.want)
 		}
 	}
-	for _, bad := range []float64{0, -1} {
-		if _, err := KForTime(10, bad); err == nil {
-			t.Errorf("KForTime(10, %v): want error", bad)
+	for _, bad := range []struct{ appTime, target float64 }{
+		{10, 0},
+		{10, -1},
+		// Targets whose ratio no int can hold, or that are not numbers.
+		{100, 1e-300},
+		{100, math.NaN()},
+		{100, math.Inf(1)},
+		{math.NaN(), 1},
+		{math.Inf(1), 1},
+	} {
+		if _, err := KForTime(bad.appTime, bad.target); !errors.Is(err, ErrBadK) {
+			t.Errorf("KForTime(%v, %v): err %v, want ErrBadK", bad.appTime, bad.target, err)
 		}
 	}
 }

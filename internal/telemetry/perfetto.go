@@ -89,14 +89,6 @@ func (c *Collector) PerfettoEvents() []traceEvent {
 	return c.perfettoEvents(nil)
 }
 
-// PerfettoCriticalEvents renders the trace with the spans selected by
-// critical (a mask over Spans(), as produced by the critical-path
-// analysis) carrying the "critical" category, so the UI can highlight
-// the path.
-func (c *Collector) PerfettoCriticalEvents(critical []bool) []traceEvent {
-	return c.perfettoEvents(critical)
-}
-
 func (c *Collector) perfettoEvents(critical []bool) []traceEvent {
 	var evs []traceEvent
 
