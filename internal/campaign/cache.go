@@ -19,16 +19,18 @@ import (
 
 // cellValue is what one cache cell holds. Run cells carry a time and the
 // trace statistics; build cells carry the constructed program and its
-// signature. The trace and the telemetry collector are memory-only: the
-// trace is large and reconstructible, and a collector only describes a
-// simulation this process actually executed.
+// signature; ladder cells carry a dedicated trace's threshold ladder.
+// The trace, the ladder and the telemetry collector are memory-only:
+// the first two are large and reconstructible, and a collector only
+// describes a simulation this process actually executed.
 type cellValue struct {
-	time  float64
-	stats *trace.Stats
-	prog  *skeleton.Program
-	sig   *signature.Signature
-	trace *trace.Trace
-	tel   *telemetry.Collector
+	time   float64
+	stats  *trace.Stats
+	prog   *skeleton.Program
+	sig    *signature.Signature
+	trace  *trace.Trace
+	ladder *signature.Ladder
+	tel    *telemetry.Collector
 }
 
 // diskEntry is a cell's persistent form. Program and Signature embed the

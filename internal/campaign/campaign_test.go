@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"perfskel/internal/cluster"
@@ -263,5 +264,34 @@ func TestCampaignValidation(t *testing.T) {
 	}
 	if _, err := eng.Run(Cell{App: App{ID: "", Fn: testApp().Fn}, NRanks: 2}); err == nil {
 		t.Error("Run without an app identity should fail")
+	}
+}
+
+// Every skeleton of one trace builds from one memoized ladder, whatever
+// its K, and only the dedicated application run keeps a trace: skeleton
+// runs and the other application runs record their statistics alone.
+func TestOneLadderPerTrace(t *testing.T) {
+	eng := New(Config{Workers: 4})
+	g := testGrid(true)
+	g.Ks = []int{2, 4, 8}
+	if _, err := eng.PredictAll(g); err != nil {
+		t.Fatal(err)
+	}
+	eng.memo.mu.Lock()
+	defer eng.memo.mu.Unlock()
+	ladders, traces := 0, 0
+	for label, e := range eng.memo.entries {
+		if e.val.ladder != nil {
+			ladders++
+		}
+		if e.val.trace != nil {
+			traces++
+			if !strings.HasPrefix(label, "run|") || !strings.Contains(label, "|"+dedicatedCanon+"|") {
+				t.Errorf("%s keeps a trace", label)
+			}
+		}
+	}
+	if ladders != 1 || traces != 1 {
+		t.Errorf("%d ladders and %d traces, want one of each", ladders, traces)
 	}
 }

@@ -84,8 +84,8 @@ func Build(sig *signature.Signature, k int) (*Program, error) {
 
 // BuildOpts is Build with explicit construction options.
 func BuildOpts(sig *signature.Signature, k int, opts Options) (*Program, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("skeleton: scaling factor K must be >= 1, got %d: %w", k, ErrBadK)
+	if err := checkK(k); err != nil {
+		return nil, err
 	}
 	opts = opts.withDefaults()
 	p := &Program{
@@ -101,6 +101,14 @@ func BuildOpts(sig *signature.Signature, k int, opts Options) (*Program, error) 
 		p.PerRank = append(p.PerRank, sc.scaleSeq(sig.PerRank[r]))
 	}
 	return p, nil
+}
+
+// checkK returns an ErrBadK error for a scaling factor below 1.
+func checkK(k int) error {
+	if k < 1 {
+		return fmt.Errorf("skeleton: scaling factor K must be >= 1, got %d: %w", k, ErrBadK)
+	}
+	return nil
 }
 
 // KForTime derives the integer scaling factor for an intended skeleton

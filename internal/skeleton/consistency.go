@@ -63,53 +63,81 @@ func hasRoot(op mpi.Op) bool {
 }
 
 // BuildFromTrace runs the complete signature-plus-skeleton construction
-// for scaling factor K: the similarity threshold is raised along
-// signature.Thresholds(0) over one prepared signature.Builder until
-// the compression ratio reaches Q = K/2 AND the resulting skeleton is
-// consistent across ranks. This is the entry point the experiment drivers
-// and tools use; signature.Build alone cannot see scaling-induced
-// inconsistencies.
+// for scaling factor K: BuildFromLadder over a fresh ladder of the
+// trace. This is the entry point the experiment drivers and tools use;
+// signature.Build alone cannot see scaling-induced inconsistencies.
+func BuildFromTrace(tr *trace.Trace, k int, opts Options) (*Program, *signature.Signature, error) {
+	if err := checkK(k); err != nil {
+		return nil, nil, err
+	}
+	l, err := signature.NewLadder(tr)
+	if err != nil {
+		return nil, nil, err
+	}
+	return BuildFromLadder(l, k, opts)
+}
+
+// BuildFromLadder searches the ladder's thresholds for the first one
+// whose compression ratio reaches Q = K/2 AND whose skeleton is
+// consistent across ranks, and returns that skeleton. Several searches
+// may share one ladder, concurrently and for different K.
 //
 // If no threshold yields both, the best consistent skeleton is returned;
 // its signature still reports TargetMet, so callers compare its Ratio
 // against K/2 to tell. If no threshold yields a consistent skeleton at
 // all, an error describing the inconsistency is returned.
-func BuildFromTrace(tr *trace.Trace, k int, opts Options) (*Program, *signature.Signature, error) {
-	if k < 1 {
-		return nil, nil, fmt.Errorf("skeleton: scaling factor K must be >= 1, got %d", k)
-	}
-	target := float64(k) / 2
-	var bestP *Program
-	var bestS *signature.Signature
-	var lastErr error
-	b, err := signature.NewBuilder(tr)
-	if err != nil {
+//
+// The returned signature is a shallow copy of the ladder's, with
+// TargetMet set: callers may set that field, and must change nothing
+// else.
+func BuildFromLadder(l *signature.Ladder, k int, opts Options) (*Program, *signature.Signature, error) {
+	if err := checkK(k); err != nil {
 		return nil, nil, err
 	}
-	for _, t := range signature.Thresholds(0) {
-		sig := b.At(t)
+	met := func(prog *Program, sig *signature.Signature) (*Program, *signature.Signature, error) {
+		s := *sig
+		s.TargetMet = true
+		return prog, &s, nil
+	}
+	// Pass 1: only a threshold that reaches the target can end the
+	// search, so the skeleton is built and checked there alone, in
+	// threshold order.
+	target := float64(k) / 2
+	for i := range l.Len() {
+		sig := l.At(i)
+		if sig.Ratio < target {
+			continue
+		}
 		prog, err := BuildOpts(sig, k, opts)
 		if err != nil {
 			return nil, nil, err
 		}
-		if cerr := prog.Consistent(); cerr == nil {
-			if sig.Ratio >= target {
-				sig.TargetMet = true
-				return prog, sig, nil
-			}
-			if bestS == nil || sig.Ratio > bestS.Ratio {
-				bestP, bestS = prog, sig
-			}
-		} else {
+		if prog.Consistent() == nil {
+			return met(prog, sig)
+		}
+	}
+	// Pass 2: no threshold met the target; fall back to the consistent
+	// skeleton of highest ratio, the first one on a tie.
+	var bestP *Program
+	var bestS *signature.Signature
+	var lastErr error
+	for i := range l.Len() {
+		sig := l.At(i)
+		prog, err := BuildOpts(sig, k, opts)
+		if err != nil {
+			return nil, nil, err
+		}
+		if cerr := prog.Consistent(); cerr != nil {
 			lastErr = cerr
+		} else if bestS == nil || sig.Ratio > bestS.Ratio {
+			bestP, bestS = prog, sig
 		}
 	}
 	if bestP != nil {
 		// The fallback signature reports TargetMet as well: the
 		// construction and experiment goldens pin that, so changing it
 		// is a deliberate output change of its own.
-		bestS.TargetMet = true
-		return bestP, bestS, nil
+		return met(bestP, bestS)
 	}
 	return nil, nil, fmt.Errorf("skeleton: no similarity threshold yields a consistent skeleton (K=%d): %w", k, lastErr)
 }

@@ -1,6 +1,7 @@
 package skeleton
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -373,8 +374,8 @@ func TestBuildFromTraceMeetsTarget(t *testing.T) {
 	if err := prog.Consistent(); err != nil {
 		t.Errorf("built skeleton inconsistent: %v", err)
 	}
-	if _, _, err := BuildFromTrace(tr, 0, Options{}); err == nil {
-		t.Error("want error for K=0")
+	if _, _, err := BuildFromTrace(tr, 0, Options{}); !errors.Is(err, ErrBadK) {
+		t.Errorf("K=0: got %v, want ErrBadK", err)
 	}
 }
 

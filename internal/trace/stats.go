@@ -19,27 +19,83 @@ type Stats struct {
 // total rank-time (NRanks x AppTime); any residue not covered by events
 // (sub-nanosecond gaps) is ignored.
 func (t *Trace) Stats() Stats {
-	s := Stats{
-		OpCounts: make(map[mpi.Op]int),
-		OpTime:   make(map[mpi.Op]float64),
-	}
+	s := newStats()
 	for _, evs := range t.Events {
 		for _, e := range evs {
-			d := e.Duration()
-			s.OpCounts[e.Op]++
-			s.OpTime[e.Op] += d
-			if e.IsCompute() {
-				s.ComputeTime += d
-			} else {
-				s.MPITime += d
-			}
-			s.Events++
+			s.add(e.Op, e.Duration())
 		}
 	}
-	total := float64(t.NRanks) * t.AppTime
-	if total > 0 {
+	s.close(t.NRanks, t.AppTime)
+	return s
+}
+
+// newStats, add and close are the one summation behind Trace.Stats and
+// StatsRecorder.Finish. Float sums depend on their order, so both add
+// the events rank by rank, each rank's in time order.
+func newStats() Stats {
+	return Stats{OpCounts: make(map[mpi.Op]int), OpTime: make(map[mpi.Op]float64)}
+}
+
+// add counts one event of the given operation and duration.
+func (s *Stats) add(op mpi.Op, d float64) {
+	s.OpCounts[op]++
+	s.OpTime[op] += d
+	if op == mpi.OpCompute {
+		s.ComputeTime += d
+	} else {
+		s.MPITime += d
+	}
+	s.Events++
+}
+
+// close sets the fractions of total rank-time, nranks x appTime.
+func (s *Stats) close(nranks int, appTime float64) {
+	if total := float64(nranks) * appTime; total > 0 {
 		s.ComputeFrac = s.ComputeTime / total
 		s.MPIFrac = s.MPITime / total
 	}
+}
+
+// StatsRecorder records a run for its Stats alone. Where a Recorder keeps
+// a 72-byte Event, it keeps the event's operation and duration, 16 bytes,
+// and its Finish returns exactly what Recorder.Finish(appTime).Stats()
+// would. It implements mpi.Monitor and mpi.RankFinisher.
+type StatsRecorder struct {
+	clock
+	events [][]opTime
+}
+
+// opTime is one event as Stats reads it.
+type opTime struct {
+	op mpi.Op
+	d  float64
+}
+
+// NewStatsRecorder returns a stats-only recorder for nranks ranks.
+func NewStatsRecorder(nranks int) *StatsRecorder {
+	return &StatsRecorder{clock: newClock(nranks), events: make([][]opTime, nranks)}
+}
+
+// Record implements mpi.Monitor, as Recorder.Record does.
+func (r *StatsRecorder) Record(rank int, rec mpi.OpRecord) {
+	if from, ok := r.advance(rank, rec.Start, rec.End); ok {
+		r.events[rank] = append(r.events[rank], opTime{mpi.OpCompute, rec.Start - from})
+	}
+	r.events[rank] = append(r.events[rank], opTime{rec.Op, rec.End - rec.Start})
+}
+
+// Finish closes the run at the given parallel execution time, as
+// Recorder.Finish does, and returns its statistics.
+func (r *StatsRecorder) Finish(appTime float64) Stats {
+	s := newStats()
+	for rank, evs := range r.events {
+		for _, e := range evs {
+			s.add(e.op, e.d)
+		}
+		if from, to, ok := r.tail(rank, appTime); ok {
+			s.add(mpi.OpCompute, to-from)
+		}
+	}
+	s.close(len(r.events), appTime)
 	return s
 }

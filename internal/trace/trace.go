@@ -99,36 +99,66 @@ func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 // event; anything shorter is measurement noise.
 const minComputeGap = 1e-9
 
-// Recorder builds a Trace while a program runs. It implements mpi.Monitor.
-// Use it as: rec := NewRecorder(n); mpi.Run(..., rec, app); tr :=
-// rec.Finish(appTime).
-type Recorder struct {
-	events  [][]Event
+// clock infers computation events from the gaps between MPI calls. It
+// tracks each rank's last call end and, once known, the time the rank's
+// program body returned. Recorder and StatsRecorder share it, so both
+// see the same events.
+type clock struct {
 	lastEnd []float64
 	rankEnd []float64 // per-rank finish time; 0 = unknown
 }
 
-// NewRecorder returns a recorder for nranks ranks.
-func NewRecorder(nranks int) *Recorder {
-	return &Recorder{
-		events:  make([][]Event, nranks),
-		lastEnd: make([]float64, nranks),
-		rankEnd: make([]float64, nranks),
-	}
+func newClock(nranks int) clock {
+	return clock{lastEnd: make([]float64, nranks), rankEnd: make([]float64, nranks)}
 }
 
 // RankDone implements mpi.RankFinisher: it records when the rank's program
 // body returned, so the trailing computation event covers only the rank's
 // own work and not the idle time until the last rank finishes.
-func (r *Recorder) RankDone(rank int, t float64) { r.rankEnd[rank] = t }
+func (c *clock) RankDone(rank int, t float64) { c.rankEnd[rank] = t }
+
+// advance moves the rank's clock to an operation running from start to
+// end. It returns where the computation before the operation began, and
+// whether that gap is long enough to be a computation event.
+func (c *clock) advance(rank int, start, end float64) (from float64, ok bool) {
+	from = c.lastEnd[rank]
+	c.lastEnd[rank] = end
+	return from, start-from > minComputeGap
+}
+
+// tail returns the rank's trailing computation event when the trace
+// closes at appTime: from its last MPI call to its own finish time when
+// known (so another rank finishing later does not masquerade as
+// computation), else to appTime.
+func (c *clock) tail(rank int, appTime float64) (from, to float64, ok bool) {
+	to = appTime
+	if e := c.rankEnd[rank]; e > 0 && e < to {
+		to = e
+	}
+	from = c.lastEnd[rank]
+	return from, to, to-from > minComputeGap
+}
+
+// Recorder builds a Trace while a program runs. It implements mpi.Monitor
+// and mpi.RankFinisher. Use it as: rec := NewRecorder(n); mpi.Run(...,
+// rec, app); tr := rec.Finish(appTime).
+type Recorder struct {
+	clock
+	events [][]Event
+}
+
+// NewRecorder returns a recorder for nranks ranks.
+func NewRecorder(nranks int) *Recorder {
+	return &Recorder{clock: newClock(nranks), events: make([][]Event, nranks)}
+}
 
 // Record implements mpi.Monitor: it appends the operation, preceded by a
 // computation event covering any gap since the rank's previous operation.
 func (r *Recorder) Record(rank int, rec mpi.OpRecord) {
-	if gap := rec.Start - r.lastEnd[rank]; gap > minComputeGap {
+	if from, ok := r.advance(rank, rec.Start, rec.End); ok {
 		r.events[rank] = append(r.events[rank], Event{
 			Op: mpi.OpCompute, Peer: mpi.None, Peer2: mpi.None,
-			Start: r.lastEnd[rank], End: rec.Start,
+			Start: from, End: rec.Start,
 		})
 	}
 	r.events[rank] = append(r.events[rank], Event{
@@ -136,24 +166,18 @@ func (r *Recorder) Record(rank int, rec mpi.OpRecord) {
 		Bytes: rec.Bytes, Byte2: rec.Byte2, Tag: rec.Tag,
 		Start: rec.Start, End: rec.End,
 	})
-	r.lastEnd[rank] = rec.End
 }
 
 // Finish closes the trace at the given parallel execution time, appending
 // trailing computation events for ranks that worked past their last MPI
-// call (up to the rank's own finish time when known, so another rank
-// finishing later does not masquerade as computation).
+// call.
 func (r *Recorder) Finish(appTime float64) *Trace {
 	t := &Trace{NRanks: len(r.events), AppTime: appTime, Events: r.events}
 	for rank := range r.events {
-		end := appTime
-		if e := r.rankEnd[rank]; e > 0 && e < end {
-			end = e
-		}
-		if gap := end - r.lastEnd[rank]; gap > minComputeGap {
+		if from, to, ok := r.tail(rank, appTime); ok {
 			t.Events[rank] = append(t.Events[rank], Event{
 				Op: mpi.OpCompute, Peer: mpi.None, Peer2: mpi.None,
-				Start: r.lastEnd[rank], End: end,
+				Start: from, End: to,
 			})
 		}
 	}
