@@ -17,6 +17,22 @@ import (
 // small focused experiment that returns a rendered table. Predictions
 // come from a campaign engine, as the paper figures' do.
 
+// engines hands out one campaign engine per effective MPI cost model.
+// The ablations vary only the eager threshold, so it is the key, with
+// the default threshold spelled as zero: ablations that run the same
+// model share one engine and so simulate each dedicated run once.
+type engines map[int64]*campaign.Engine
+
+func (es engines) get(eager int64) *campaign.Engine {
+	if eager == mpi.DefaultEagerThreshold {
+		eager = 0
+	}
+	if es[eager] == nil {
+		es[eager] = campaign.New(campaign.Config{MPI: mpi.Config{EagerThreshold: eager}})
+	}
+	return es[eager]
+}
+
 // classB returns the benchmark's class B campaign app and its dedicated
 // execution time on eng.
 func classB(eng *campaign.Engine, ranks int, bench string) (campaign.App, float64, error) {
@@ -32,8 +48,10 @@ func classB(eng *campaign.Engine, ranks int, bench string) (campaign.App, float6
 // environment-aware time scaling (DESIGN.md choice 6) for small BT
 // skeletons under the network-sharing scenarios, where the unscalable
 // latency of byte-scaled messages hurts most.
-func AblationScaleMode(ranks int) (Table, error) {
-	eng := campaign.New(campaign.Config{})
+func AblationScaleMode(ranks int) (Table, error) { return engines{}.scaleMode(ranks) }
+
+func (es engines) scaleMode(ranks int) (Table, error) {
+	eng := es.get(0)
 	app, appDed, err := classB(eng, ranks, "BT")
 	if err != nil {
 		return Table{}, err
@@ -145,13 +163,15 @@ func AblationQHeuristic(ranks int) (Table, error) {
 // boundary (DESIGN.md choice 3) and reports MG's prediction error under
 // the combined scenario: the skeleton's scaled-down messages can cross the
 // boundary its application's messages do not.
-func AblationEagerThreshold(ranks int) (Table, error) {
+func AblationEagerThreshold(ranks int) (Table, error) { return engines{}.eagerThreshold(ranks) }
+
+func (es engines) eagerThreshold(ranks int) (Table, error) {
 	t := Table{
 		Title:  "Ablation: eager/rendezvous threshold (MG class B, 1 s skeleton, combined scenario)",
 		Header: []string{"eager threshold", "app actual (s)", "predicted (s)", "error %"},
 	}
 	for _, eager := range []int64{4 << 10, 64 << 10, 1 << 20} {
-		eng := campaign.New(campaign.Config{MPI: mpi.Config{EagerThreshold: eager}})
+		eng := es.get(eager)
 		app, appDed, err := classB(eng, ranks, "MG")
 		if err != nil {
 			return Table{}, err
@@ -181,8 +201,10 @@ func AblationEagerThreshold(ranks int) (Table, error) {
 // AblationCrossTraffic probes prediction robustness under stochastic
 // background traffic, a sharing mode outside the paper's deterministic
 // scenarios.
-func AblationCrossTraffic(ranks int) (Table, error) {
-	eng := campaign.New(campaign.Config{})
+func AblationCrossTraffic(ranks int) (Table, error) { return engines{}.crossTraffic(ranks) }
+
+func (es engines) crossTraffic(ranks int) (Table, error) {
+	eng := es.get(0)
 	app, appDed, err := classB(eng, ranks, "MG")
 	if err != nil {
 		return Table{}, err
@@ -229,13 +251,17 @@ func AblationCrossTraffic(ranks int) (Table, error) {
 }
 
 // AllAblations runs every ablation at the paper's scale.
-func AllAblations(ranks int) ([]Table, error) {
+func AllAblations(ranks int) ([]Table, error) { return allAblations(ranks, engines{}) }
+
+// allAblations is AllAblations with the ablations' engines shared
+// through es.
+func allAblations(ranks int, es engines) ([]Table, error) {
 	if ranks == 0 {
 		ranks = 4
 	}
 	var out []Table
 	for _, f := range []func(int) (Table, error){
-		AblationScaleMode, AblationQHeuristic, AblationEagerThreshold, AblationCrossTraffic,
+		es.scaleMode, AblationQHeuristic, es.eagerThreshold, es.crossTraffic,
 	} {
 		t, err := f(ranks)
 		if err != nil {

@@ -80,3 +80,25 @@ func TestAblationEagerThreshold(t *testing.T) {
 		t.Errorf("64 KiB eager threshold error %v%%", e)
 	}
 }
+
+// TestAblationsShareEngines pins the simulations AllAblations runs. The
+// 64 KiB eager threshold is the default cost model, so the eager and
+// cross-traffic ablations share one engine and simulate MG class B's
+// dedicated run once: 39 simulations where one engine per ablation
+// made 40.
+func TestAblationsShareEngines(t *testing.T) {
+	es := engines{}
+	if _, err := allAblations(4, es); err != nil {
+		t.Fatal(err)
+	}
+	if len(es) != 3 {
+		t.Errorf("%d engines, want 3 (4 KiB, default, 1 MiB)", len(es))
+	}
+	var sims int64
+	for _, eng := range es {
+		sims += eng.Stats().Sims
+	}
+	if sims != 39 {
+		t.Errorf("AllAblations ran %d simulations, want 39", sims)
+	}
+}
