@@ -211,12 +211,9 @@ func BenchmarkSkeletonBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkConstructScale measures the whole trace-to-skeleton
-// construction of skeleton.BuildFromTrace — the threshold search with
-// clustering, loop folding and K-scaling at every step — on rank-scale's
-// most expensive build: LU class S on 64 ranks at K = 8. The trace is
-// simulated once, outside the timer.
-func BenchmarkConstructScale(b *testing.B) {
+// luScaleTrace is the dedicated trace of rank-scale's most expensive
+// build, LU class S on 64 ranks.
+func luScaleTrace(b *testing.B) *trace.Trace {
 	const ranks = 64
 	app, err := perfskel.NASApp("LU", perfskel.ClassS)
 	if err != nil {
@@ -226,11 +223,42 @@ func BenchmarkConstructScale(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return tr
+}
+
+// BenchmarkConstructScale measures the whole trace-to-skeleton
+// construction of skeleton.BuildFromTrace — the threshold search with
+// clustering, loop folding and K-scaling — on rank-scale's most
+// expensive build: LU class S on 64 ranks at K = 8. The trace is
+// simulated once, outside the timer.
+func BenchmarkConstructScale(b *testing.B) {
+	tr := luScaleTrace(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := skeleton.BuildFromTrace(tr, 8, skeleton.Options{}); err != nil {
 			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(tr.Len()), "ns/trace-event")
+}
+
+// BenchmarkConstructKSweep measures the skeletons a K sweep builds from
+// one trace, as serve-mix and campaign grids request them: K = 2, 4, 8,
+// 16 and 32 from one shared threshold ladder of the same LU trace.
+func BenchmarkConstructKSweep(b *testing.B) {
+	tr := luScaleTrace(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l, err := signature.NewLadder(tr)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, k := range []int{2, 4, 8, 16, 32} {
+			if _, _, err := skeleton.BuildFromLadder(l, k, skeleton.Options{}); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(tr.Len()), "ns/trace-event")

@@ -101,15 +101,16 @@ cat "$out"
 
 # Skeleton construction: skeleton.BuildFromTrace at K=8 on an LU class
 # S 64-rank trace (simulated once, outside the timer) — the threshold
-# search with clustering, loop folding and K-scaling at every step.
-# Reports medians over the runs; seed_ns_op is the median of the same
-# benchmark at the construction code that re-clustered the trace at
-# every threshold step, measured in alternating pairs with this one.
+# search with clustering, loop folding and K-scaling — and the K sweep
+# K = 2, 4, 8, 16, 32 built from one shared threshold ladder of the
+# same trace. Reports medians over the runs; seed_ns_op is the median of
+# BenchmarkConstructScale at the construction code that re-clustered the
+# trace at every threshold step, measured in alternating pairs with it.
 # Writes BENCH_construct.json.
 out=BENCH_construct.json
 
-echo "==> go test -bench ConstructScale (count=$count)"
-go test -run xxx -bench 'BenchmarkConstructScale$' -benchmem -count "$count" "$@" . | tee /tmp/bench_construct.txt
+echo "==> go test -bench 'Construct(Scale|KSweep)' (count=$count)"
+go test -run xxx -bench 'BenchmarkConstruct(Scale|KSweep)$' -benchmem -count "$count" "$@" . | tee /tmp/bench_construct.txt
 
 awk '
 function metric(unit,   i) { for (i = 1; i <= NF; i++) if ($i == unit) return $(i-1); return 0 }
@@ -118,8 +119,9 @@ function median(a, n,   i, j, t) {
     return n % 2 ? a[(n+1)/2] : (a[n/2] + a[n/2+1]) / 2
 }
 /^BenchmarkConstructScale/ { n++; ns[n] = metric("ns/op"); ev[n] = metric("ns/trace-event"); al[n] = metric("allocs/op"); by[n] = metric("B/op") }
+/^BenchmarkConstructKSweep/ { m++; kns[m] = metric("ns/op"); kal[m] = metric("allocs/op"); kby[m] = metric("B/op") }
 END {
-    if (n == 0) { print "no benchmark output" > "/dev/stderr"; exit 1 }
+    if (n == 0 || m == 0) { print "no benchmark output" > "/dev/stderr"; exit 1 }
     seed = 849764757
     mns = median(ns, n)
     printf "{\n"
@@ -130,7 +132,11 @@ END {
     printf "  \"ns_trace_event\": %.1f,\n", median(ev, n)
     printf "  \"allocs_op\": %.0f,\n", median(al, n)
     printf "  \"bytes_op\": %.0f,\n", median(by, n)
-    printf "  \"speedup\": %.2f\n", seed / mns
+    printf "  \"speedup\": %.2f,\n", seed / mns
+    printf "  \"ksweep_benchmark\": \"skeleton.BuildFromLadder, K=2,4,8,16,32 from one ladder of the same trace\",\n"
+    printf "  \"ksweep_ns_op\": %.0f,\n", median(kns, m)
+    printf "  \"ksweep_allocs_op\": %.0f,\n", median(kal, m)
+    printf "  \"ksweep_bytes_op\": %.0f\n", median(kby, m)
     printf "}\n"
 }' /tmp/bench_construct.txt > "$out"
 
