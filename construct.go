@@ -74,8 +74,8 @@ func WithSignatureOptions(o SignatureOptions) ConstructOption {
 // or a module-local import path (e.g. "perfskel/internal/nas").
 //
 // Compute durations in a static signature are model estimates, not
-// measurements; see internal/analysis/staticsig for calibrating them
-// against a short dedicated run.
+// measurements; internal/analysis/staticsig records which of them are
+// placeholders.
 func WithStaticSource(pkgPath string) ConstructOption {
 	return func(c *constructConfig) { c.staticPkg = pkgPath }
 }

@@ -23,10 +23,9 @@ type clusterKey struct {
 }
 
 type converted struct {
-	sig                 *signature.Signature
-	placeholders        []string
-	placeholderKeys     map[string]bool
-	computePlaceholders []int
+	sig             *signature.Signature
+	placeholders    []string
+	placeholderKeys map[string]bool
 }
 
 // Lower lowers an extracted communication automaton to an execution
@@ -92,7 +91,7 @@ func convert(m *commgraph.Machine, fset *token.FileSet) (*converted, error) {
 		clusters = append(clusters, cl)
 		if !noted[key] {
 			noted[key] = true
-			c.note(op, cl, fset)
+			c.note(op, fset)
 		}
 		return cl
 	}
@@ -158,7 +157,6 @@ func convert(m *commgraph.Machine, fset *token.FileSet) (*converted, error) {
 	}
 	c.sig = sig
 	sort.Strings(c.placeholders)
-	sort.Ints(c.computePlaceholders)
 	return c, nil
 }
 
@@ -167,18 +165,16 @@ func convert(m *commgraph.Machine, fset *token.FileSet) (*converted, error) {
 // cluster counts use, far above any model's operation count.
 const maxLoopCount = 1 << 30
 
-// note records what stays a placeholder in cluster cl.
-func (c *converted) note(op *commgraph.Op, cl *signature.Cluster, fset *token.FileSet) {
+// note records what stays a placeholder at op's site.
+func (c *converted) note(op *commgraph.Op, fset *token.FileSet) {
 	switch {
 	case op.Kind == mpi.OpCompute && !op.HasWork:
 		c.placeholders = append(c.placeholders,
 			fmt.Sprintf("compute at %s: work unresolved, placeholder 0 (calibratable)", fset.Position(op.Pos)))
-		c.computePlaceholders = append(c.computePlaceholders, cl.ID)
 	case op.Kind == mpi.OpCompute && op.WorkApprox:
 		c.placeholders = append(c.placeholders,
 			fmt.Sprintf("compute at %s: work %.3g is a dominant-factor estimate (mean-one perturbation dropped; calibratable)",
 				fset.Position(op.Pos), op.Work))
-		c.computePlaceholders = append(c.computePlaceholders, cl.ID)
 	case op.Kind != mpi.OpCompute && !op.HasBytes && kindCarriesBytes(op.Kind):
 		key := signature.CanonKey(signature.NormalizeOp(op.Canon()))
 		c.placeholderKeys[key] = true

@@ -17,8 +17,7 @@ import (
 // per-rank byte volumes per communication slot — except the volumes
 // instantiation flagged as placeholders. Compute durations are not
 // compared exactly (the static side is a model-seconds estimate, the
-// traced side a measurement); their ratio is reported as the
-// calibration hint.
+// traced side a measurement); their ratio is reported as WorkScale.
 
 // ByteTolerance is the relative byte-volume agreement required per
 // communication slot. Trace clustering averages same-slot events of
@@ -50,8 +49,7 @@ type Divergence struct {
 	// StaticEvents and TracedEvents are the expanded dynamic op counts.
 	StaticEvents, TracedEvents int
 	// WorkScale is total traced compute time over total static compute
-	// work — the factor CalibrateWork would need to align compute
-	// placeholders with this run.
+	// work: how far the static compute estimates are from this run.
 	WorkScale float64
 	// Placeholders echoes the instance's placeholder notes.
 	Placeholders []string

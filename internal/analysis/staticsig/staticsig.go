@@ -19,10 +19,8 @@
 // compute work containing mean-one perturbation factors (jitter) is a
 // dominant-factor estimate (Op.WorkApprox), and message volumes the
 // interpreter cannot resolve (per-pair Alltoallv sizes) stay unknown.
-// Both are recorded on the Instance — placeholder compute clusters can
-// be recalibrated from one short measured run (CalibrateToAppTime),
-// and placeholder byte keys are excluded from byte cross-validation
-// (Diff).
+// Both are recorded on the Instance as placeholder notes, and
+// placeholder byte keys are excluded from byte cross-validation (Diff).
 package staticsig
 
 import (
@@ -184,10 +182,6 @@ type Instance struct {
 	// (signature.CanonKey) whose byte volumes are unresolved; byte
 	// cross-validation skips them.
 	PlaceholderKeys map[string]bool
-
-	// computePlaceholders indexes the clusters whose Duration is a
-	// calibratable compute estimate.
-	computePlaceholders []int
 }
 
 // Instantiate interprets the constructor for the given class, extracts
@@ -227,66 +221,18 @@ func (p *Parametric) Instantiate(nranks int, class string) (*Instance, error) {
 			p.App, class, nranks, err)
 	}
 	inst := &Instance{
-		App:                 p.App,
-		Class:               class,
-		NRanks:              nranks,
-		Key:                 fmt.Sprintf("static|app=%s|class=%s|p=%d|src=%s", p.App, class, nranks, p.SourceHash),
-		SourceHash:          p.SourceHash,
-		Params:              ab.params,
-		Sig:                 conv.sig,
-		Placeholders:        conv.placeholders,
-		PlaceholderKeys:     conv.placeholderKeys,
-		computePlaceholders: conv.computePlaceholders,
+		App:             p.App,
+		Class:           class,
+		NRanks:          nranks,
+		Key:             fmt.Sprintf("static|app=%s|class=%s|p=%d|src=%s", p.App, class, nranks, p.SourceHash),
+		SourceHash:      p.SourceHash,
+		Params:          ab.params,
+		Sig:             conv.sig,
+		Placeholders:    conv.placeholders,
+		PlaceholderKeys: conv.placeholderKeys,
 	}
 	p.memo[key] = inst
 	return inst, nil
-}
-
-// CalibrateWork rescales the calibratable compute placeholders by the
-// given factor and recomputes the signature's application time. Exact
-// compute values and communication estimates are left untouched. The
-// adjustment applies in place — to this (shared, memoized) instance.
-func (in *Instance) CalibrateWork(factor float64) {
-	for _, id := range in.computePlaceholders {
-		in.Sig.Clusters[id].Duration *= factor
-	}
-	in.Sig.AppTime = maxRankTime(in.Sig)
-}
-
-// CalibrateToAppTime fits the placeholder compute scale to one measured
-// dedicated application time (the "short class-S run" hook): on the
-// dominant rank, solve measured = fixed + factor*placeholder for the
-// factor and apply it. Returns the factor applied (1 when there is
-// nothing to calibrate or the measurement is smaller than the fixed
-// part).
-func (in *Instance) CalibrateToAppTime(measured float64) float64 {
-	r := argmaxRank(in.Sig)
-	placeholder := 0.0
-	set := map[int]bool{}
-	for _, id := range in.computePlaceholders {
-		set[id] = true
-	}
-	var walk func(seq []signature.Node, mult float64)
-	walk = func(seq []signature.Node, mult float64) {
-		for _, n := range seq {
-			switch x := n.(type) {
-			case signature.Leaf:
-				if set[x.C.ID] {
-					placeholder += x.C.Duration * mult
-				}
-			case *signature.Loop:
-				walk(x.Body, mult*float64(x.Count))
-			}
-		}
-	}
-	walk(in.Sig.PerRank[r], 1)
-	fixed := in.Sig.RankTime(r) - placeholder
-	if placeholder <= 0 || measured <= fixed {
-		return 1
-	}
-	factor := (measured - fixed) / placeholder
-	in.CalibrateWork(factor)
-	return factor
 }
 
 func maxRankTime(s *signature.Signature) float64 {
@@ -297,14 +243,4 @@ func maxRankTime(s *signature.Signature) float64 {
 		}
 	}
 	return t
-}
-
-func argmaxRank(s *signature.Signature) int {
-	best, bt := 0, -1.0
-	for r := range s.PerRank {
-		if rt := s.RankTime(r); rt > bt {
-			best, bt = r, rt
-		}
-	}
-	return best
 }

@@ -286,14 +286,14 @@ func WithCrossTraffic(sc Scenario, t CrossTraffic) Scenario {
 	return cluster.WithCrossTraffic(sc, t)
 }
 
-// LoadTrace reads a trace file written by Trace.Save or cmd/skeltrace.
+// LoadTrace reads a trace file written by Trace.Save or skel trace.
 func LoadTrace(path string) (*Trace, error) { return trace.Load(path) }
 
 // LoadSignature reads a signature file written by Signature.Save.
 func LoadSignature(path string) (*Signature, error) { return signature.Load(path) }
 
 // LoadSkeleton reads a skeleton program written by Skeleton.Save or
-// cmd/skelgen.
+// skel gen.
 func LoadSkeleton(path string) (*Skeleton, error) { return skeleton.Load(path) }
 
 // Candidate is a node set under consideration for resource selection.
