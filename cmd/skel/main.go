@@ -22,7 +22,8 @@
 // source. With -static the trace is not needed: the signature is
 // synthesized from the MPI program's source (symbolic execution of its
 // constructor and per-rank body), instantiated at -n ranks and -class.
-// Compute durations in a static skeleton are model estimates.
+// Compute durations in a static skeleton are model estimates; nothing
+// measures or corrects them.
 //
 // run executes a skeleton or a NAS benchmark under a named
 // resource-sharing scenario and prints the execution time. Running a
@@ -218,7 +219,7 @@ func genMain(args []string) {
 	} else {
 		fmt.Printf("static: %s class %s on %d ranks, %.2f s estimated, %d ops\n",
 			*appName, *class, *nranks, sig.AppTime, sig.TraceEvents)
-		fmt.Printf("note: compute durations are model estimates; calibrate against a short run\n")
+		fmt.Printf("note: compute durations are model estimates, not measurements\n")
 	}
 	fmt.Printf("skeleton: K=%d, intended %.2f s, written to %s\n", prog.K, prog.TargetTime, *out)
 	fmt.Printf("smallest good skeleton for this application: %.2f s\n", prog.MinGoodTime)

@@ -153,6 +153,33 @@ func TestExperimentsRecipe(t *testing.T) {
 	}
 }
 
+// TestGenStatic: gen -static synthesizes the signature from the NAS
+// models' source, writes the skeleton, and notes that its compute
+// durations are model estimates. Nothing calibrates a static
+// signature, so the note must not suggest it.
+func TestGenStatic(t *testing.T) {
+	src, err := filepath.Abs("../../internal/nas")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	code, out, stderr := skel(t, dir, "gen", "-static", src, "-app", "CG", "-n", "4", "-class", "S",
+		"-k", "4", "-o", "cg.skel.json")
+	if code != 0 {
+		t.Fatalf("exit %d\n%s", code, stderr)
+	}
+	const note = "note: compute durations are model estimates, not measurements\n"
+	if !strings.HasPrefix(string(out), "static: CG class S on 4 ranks, ") || !strings.Contains(string(out), note) {
+		t.Errorf("stdout lacks the static summary or %q:\n%s", note, out)
+	}
+	if strings.Contains(string(out), "calibrat") {
+		t.Errorf("stdout suggests calibrating a static signature:\n%s", out)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "cg.skel.json")); err != nil {
+		t.Errorf("skeleton not written: %v", err)
+	}
+}
+
 // TestUsageErrors: a missing or unknown subcommand exits 2 with the
 // subcommand list; conflicting or missing inputs exit 1 with the
 // subcommand's prefix, before anything runs.

@@ -80,6 +80,23 @@ func sharedBenchLoader(b *testing.B) *Loader {
 	return sharedLoader
 }
 
+// BenchmarkAnalysisLoadCold is the cold static-analysis load every
+// static consumer pays once per process (campaign setup, skelvet, the
+// service's static requests): a fresh loader parses and type-checks
+// the NAS models package, its module imports and the standard-library
+// packages they reach.
+func BenchmarkAnalysisLoadCold(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		l, err := NewLoader(".")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := l.Load(l.ModulePath() + "/internal/nas"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkAnalysisLoopFree(b *testing.B) {
 	benchMachines(b, benchRing(200, false))
 }

@@ -60,7 +60,7 @@ type Op struct {
 	HasWork  bool
 	// WorkApprox marks a compute Work value estimated by dominant-factor
 	// evaluation (mean-one perturbation factors treated as 1.0) rather
-	// than resolved exactly: a calibratable placeholder, not a proof.
+	// than resolved exactly: an estimate, not a proof.
 	WorkApprox bool
 
 	Sym string // symbolic argument rendering, e.g. "dst=(rank+1)%size"

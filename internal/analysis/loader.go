@@ -3,7 +3,6 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
-	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -68,7 +67,8 @@ func (p *Package) Summaries() *dataflow.Summaries {
 // Loader parses and type-checks packages of one module plus their
 // standard-library dependencies, using only the standard library
 // itself: module-local import paths are resolved against the module
-// root, everything else falls back to go/importer's source importer.
+// root, everything else is type-checked from GOROOT source by
+// stdImporter.
 // Loaded packages are cached, so checking many generated sources
 // against the same module is cheap after the first load.
 type Loader struct {
@@ -76,7 +76,7 @@ type Loader struct {
 	root   string // module root directory (holds go.mod)
 	module string // module path from go.mod
 
-	std     types.ImporterFrom
+	std     *stdImporter
 	pkgs    map[string]*Package
 	byTypes map[*types.Package]*Package
 	sums    *dataflow.Summaries
@@ -126,15 +126,11 @@ func NewLoader(root string) (*Loader, error) {
 		return nil, fmt.Errorf("analysis: no module line in %s/go.mod", modRoot)
 	}
 	fset := token.NewFileSet()
-	std, ok := importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
-	if !ok {
-		return nil, fmt.Errorf("analysis: source importer unavailable")
-	}
 	return &Loader{
 		Fset:    fset,
 		root:    modRoot,
 		module:  module,
-		std:     std,
+		std:     newStdImporter(fset),
 		pkgs:    map[string]*Package{},
 		byTypes: map[*types.Package]*Package{},
 		loading: map[string]bool{},
@@ -266,7 +262,7 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 func (l *Loader) LoadSource(filename, src string) (*Package, error) {
 	l.genSeq++
 	unique := fmt.Sprintf("%s#%d", filename, l.genSeq)
-	f, err := parser.ParseFile(l.Fset, unique, src, parser.ParseComments)
+	f, err := parser.ParseFile(l.Fset, unique, src, parser.ParseComments|parser.SkipObjectResolution)
 	if err != nil {
 		return nil, err
 	}
@@ -275,7 +271,7 @@ func (l *Loader) LoadSource(filename, src string) (*Package, error) {
 
 // LoadFile loads one on-disk Go file as its own single-file package.
 func (l *Loader) LoadFile(path string) (*Package, error) {
-	f, err := parser.ParseFile(l.Fset, path, nil, parser.ParseComments)
+	f, err := parser.ParseFile(l.Fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
 	if err != nil {
 		return nil, err
 	}
@@ -347,7 +343,7 @@ func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 			strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, ".") {
 			continue
 		}
-		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments)
+		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
 		}

@@ -170,10 +170,10 @@ func (c *converted) note(op *commgraph.Op, fset *token.FileSet) {
 	switch {
 	case op.Kind == mpi.OpCompute && !op.HasWork:
 		c.placeholders = append(c.placeholders,
-			fmt.Sprintf("compute at %s: work unresolved, placeholder 0 (calibratable)", fset.Position(op.Pos)))
+			fmt.Sprintf("compute at %s: work unresolved, placeholder 0", fset.Position(op.Pos)))
 	case op.Kind == mpi.OpCompute && op.WorkApprox:
 		c.placeholders = append(c.placeholders,
-			fmt.Sprintf("compute at %s: work %.3g is a dominant-factor estimate (mean-one perturbation dropped; calibratable)",
+			fmt.Sprintf("compute at %s: work %.3g is a dominant-factor estimate (mean-one perturbation dropped)",
 				fset.Position(op.Pos), op.Work))
 	case op.Kind != mpi.OpCompute && !op.HasBytes && kindCarriesBytes(op.Kind):
 		key := signature.CanonKey(signature.NormalizeOp(op.Canon()))

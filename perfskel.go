@@ -248,11 +248,12 @@ func CSource(p *Skeleton) string { return skeleton.CSource(p) }
 // GoSource renders a skeleton as a Go program against this package.
 func GoSource(p *Skeleton) string { return skeleton.GoSource(p) }
 
-// NASApp returns one of the six NAS Parallel Benchmark models (BT, CG,
-// IS, LU, MG, SP) at the given class.
+// NASApp returns the named NAS Parallel Benchmark model at the given
+// class: one of the paper's six that NASBenchmarks lists, or FT or EP.
 func NASApp(name string, class Class) (App, error) { return nas.App(name, class) }
 
-// NASBenchmarks lists the available benchmark names.
+// NASBenchmarks lists the six benchmarks the paper evaluates (BT, CG,
+// IS, LU, MG, SP), in the paper's order.
 func NASBenchmarks() []string { return nas.Benchmarks() }
 
 // SkeletonOptions tunes skeleton construction beyond the paper's defaults

@@ -145,29 +145,33 @@ cat "$out"
 
 # Static analysis: the same 200-iteration ring exchange as unrolled
 # straight-line code and as a counted loop the symbolic executor folds,
-# plus the orderflow dataflow engine — cold-cache summary construction
-# over internal/telemetry and the whole-module `skelvet -self` pass.
+# the cold load of internal/nas (fresh loader: parse and type-check it,
+# its module imports and the standard library they reach), plus the
+# orderflow dataflow engine — cold-cache summary construction over
+# internal/telemetry and the whole-module `skelvet -self` pass.
 # Writes BENCH_analysis.json.
 out=BENCH_analysis.json
 
-echo "==> go test -bench AnalysisLoopFree/Symexec + Orderflow (count=$count)"
-go test -run xxx -bench 'BenchmarkAnalysis(LoopFree|Symexec)$|BenchmarkOrderflow(Summaries|SelfModule)$' \
+echo "==> go test -bench AnalysisLoopFree/Symexec/LoadCold + Orderflow (count=$count)"
+go test -run xxx -bench 'BenchmarkAnalysis(LoopFree|Symexec|LoadCold)$|BenchmarkOrderflow(Summaries|SelfModule)$' \
     -benchmem -count "$count" "$@" ./internal/analysis/ | tee /tmp/bench_analysis.txt
 
 awk '
 /^BenchmarkAnalysisLoopFree/     { flat += $3; nflat++ }
 /^BenchmarkAnalysisSymexec/      { sym  += $3; nsym++  }
+/^BenchmarkAnalysisLoadCold/     { cold += $3; ncold++ }
 /^BenchmarkOrderflowSummaries/   { osum += $3; nosum++ }
 /^BenchmarkOrderflowSelfModule/  { omod += $3; nomod++ }
 END {
-    if (nflat == 0 || nsym == 0 || nosum == 0 || nomod == 0) { print "no benchmark output" > "/dev/stderr"; exit 1 }
+    if (nflat == 0 || nsym == 0 || ncold == 0 || nosum == 0 || nomod == 0) { print "no benchmark output" > "/dev/stderr"; exit 1 }
     mflat = flat / nflat; msym = sym / nsym
     printf "{\n"
-    printf "  \"benchmark\": \"commgraph extract+match, 200-iteration ring, 4 ranks\",\n"
+    printf "  \"benchmark\": \"commgraph extract+match, 200-iteration ring, 4 ranks; cold load of internal/nas; orderflow summaries and self-module pass\",\n"
     printf "  \"runs\": %d,\n", nflat
     printf "  \"loop_free_ns_op\": %.0f,\n", mflat
     printf "  \"symexec_ns_op\": %.0f,\n", msym
     printf "  \"fold_speedup\": %.2f,\n", mflat / msym
+    printf "  \"load_cold_ns_op\": %.0f,\n", cold / ncold
     printf "  \"orderflow_summaries_ns_op\": %.0f,\n", osum / nosum
     printf "  \"orderflow_self_module_ns_op\": %.0f\n", omod / nomod
     printf "}\n"
