@@ -10,11 +10,13 @@ import (
 	"perfskel/internal/analysis/dataflow"
 )
 
-// The two benchmarks compare the extraction pipeline's straight-line
-// path against the symbolic-execution path: the same communication
-// pattern written as unrolled statements versus as counted loops the
-// extractor must prove environment-invariant and fold. scripts/bench.sh
-// reduces the pair to BENCH_analysis.json.
+// BenchmarkAnalysisLoopFree and BenchmarkAnalysisSymexec compare the
+// extraction pipeline's straight-line path against the
+// symbolic-execution path: the same communication pattern written as
+// unrolled statements versus as counted loops the extractor must prove
+// environment-invariant and fold. scripts/bench.sh runs them with the
+// cold-load and orderflow benchmarks below and writes the medians of all
+// five to BENCH_analysis.json.
 
 // benchRing emits a shifted-ring exchange body, either unrolled n times
 // (loop-free: no invariance proof needed) or as a single counted loop

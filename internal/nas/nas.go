@@ -88,9 +88,6 @@ func App(name string, class Class) (mpi.App, error) {
 	return app, nil
 }
 
-// Description returns a one-line description of the benchmark.
-func Description(name string) string { return descriptions[name] }
-
 var registry = map[string]func(Class) (mpi.App, error){
 	"BT": func(c Class) (mpi.App, error) { return adiApp(btTable, c) },
 	"SP": func(c Class) (mpi.App, error) { return adiApp(spTable, c) },
@@ -100,17 +97,6 @@ var registry = map[string]func(Class) (mpi.App, error){
 	"IS": isApp,
 	"FT": ftApp,
 	"EP": epApp,
-}
-
-var descriptions = map[string]string{
-	"BT": "block tridiagonal ADI solver (multipartition, compute-bound)",
-	"SP": "scalar pentadiagonal ADI solver (multipartition)",
-	"LU": "SSOR solver (2-D pipelined wavefronts, many small messages)",
-	"CG": "conjugate gradient (transpose exchanges + dot-product allreduces)",
-	"IS": "integer sort (bucket allreduce + very large all-to-all)",
-	"MG": "multigrid V-cycles (halo exchanges over shrinking grids)",
-	"FT": "3-D FFT (full-transpose all-to-alls; extension, not in the paper)",
-	"EP": "embarrassingly parallel (almost no communication; extension)",
 }
 
 // jitterAmp is the relative amplitude of the deterministic compute-time

@@ -217,14 +217,6 @@ func TestAllBenchmarksList(t *testing.T) {
 	}
 }
 
-func TestDescriptions(t *testing.T) {
-	for _, name := range AllBenchmarks() {
-		if Description(name) == "" {
-			t.Errorf("no description for %s", name)
-		}
-	}
-}
-
 func TestNetworkScenarioHurtsISMost(t *testing.T) {
 	if testing.Short() {
 		t.Skip("class B runs are slow")

@@ -86,8 +86,9 @@ func runEventMix(iters int, probe telemetry.SimProbe) Stats {
 }
 
 // benchMix reports ns per simulation event and events per run for the
-// CG/MG-shaped mix; allocs/event follows from allocs/op divided by
-// events/op (scripts/bench.sh does the division).
+// CG/MG-shaped mix. allocs/op counts the whole run, engine and proc
+// setup included, so it is not a steady-state per-event figure:
+// TestSteadyStateAllocFreeProbeOff measures that one.
 func benchMix(b *testing.B, instrument bool) {
 	b.ReportAllocs()
 	events := 0

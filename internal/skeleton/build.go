@@ -134,16 +134,6 @@ func KForTime(appTime, target float64) (int, error) {
 	return int(r), nil
 }
 
-// BuildForTime constructs a skeleton with an intended execution time,
-// deriving K with KForTime.
-func BuildForTime(sig *signature.Signature, target float64) (*Program, error) {
-	k, err := KForTime(sig.AppTime, target)
-	if err != nil {
-		return nil, err
-	}
-	return Build(sig, k)
-}
-
 // distQuantiles is how many duration quantiles SpreadCompute retains per
 // compute cluster.
 const distQuantiles = 8

@@ -6,8 +6,9 @@ import (
 	"testing"
 )
 
-// KForTime is the single K-derivation authority: BuildForTime and the
-// public trace-for-time construction path both delegate to it. The cases
+// KForTime is the single K-derivation authority: the public
+// trace-for-time construction path, the service's target-time requests
+// and the experiment drivers all delegate to it. The cases
 // pin the rounding behaviour at the half-way boundaries where two
 // hand-rolled derivations historically could disagree (math.Round rounds
 // half away from zero; a truncating int() would not).
@@ -47,28 +48,5 @@ func TestKForTime(t *testing.T) {
 		if _, err := KForTime(bad.appTime, bad.target); !errors.Is(err, ErrBadK) {
 			t.Errorf("KForTime(%v, %v): err %v, want ErrBadK", bad.appTime, bad.target, err)
 		}
-	}
-}
-
-// BuildForTime must agree with KForTime at the rounding boundary.
-func TestBuildForTimeUsesKForTime(t *testing.T) {
-	sig := traceAndSign(t, 2, 5, iterApp)
-	target := sig.AppTime / 2.5 // exactly on the round-half boundary
-	prog, err := BuildForTime(sig, target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := KForTime(sig.AppTime, target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prog.K != want {
-		t.Fatalf("BuildForTime chose K=%d, KForTime says %d", prog.K, want)
-	}
-	if want != 3 {
-		t.Fatalf("boundary case should derive K=3 (round 2.5 away from zero), got %d", want)
-	}
-	if _, err := BuildForTime(sig, 0); err == nil {
-		t.Error("want error for non-positive target")
 	}
 }

@@ -147,21 +147,10 @@ func TestScaleOpNeverZeroesBytes(t *testing.T) {
 	}
 }
 
-func TestBuildForTimeDerivesK(t *testing.T) {
+func TestBuildRejectsBadK(t *testing.T) {
 	sig := traceAndSign(t, 2, 5, iterApp)
-	target := sig.AppTime / 7
-	p, err := BuildForTime(sig, target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.K != 7 {
-		t.Errorf("K = %d, want 7", p.K)
-	}
-	if _, err := BuildForTime(sig, -1); err == nil {
-		t.Error("want error for negative target")
-	}
-	if _, err := Build(sig, 0); err == nil {
-		t.Error("want error for K=0")
+	if _, err := Build(sig, 0); !errors.Is(err, ErrBadK) {
+		t.Errorf("K=0: got %v, want ErrBadK", err)
 	}
 }
 

@@ -56,18 +56,3 @@ func Median(xs []float64) float64 {
 	}
 	return (s[n/2-1] + s[n/2]) / 2
 }
-
-// Stddev returns the population standard deviation, or 0 for fewer than
-// two elements.
-func Stddev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)))
-}

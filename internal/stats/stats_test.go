@@ -23,15 +23,8 @@ func TestBasics(t *testing.T) {
 }
 
 func TestEmptySlices(t *testing.T) {
-	if Mean(nil) != 0 || Min(nil) != 0 || Max(nil) != 0 || Median(nil) != 0 || Stddev(nil) != 0 {
+	if Mean(nil) != 0 || Min(nil) != 0 || Max(nil) != 0 || Median(nil) != 0 {
 		t.Error("empty-slice helpers must return 0")
-	}
-}
-
-func TestStddev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Stddev(xs); math.Abs(got-2) > 1e-12 {
-		t.Errorf("stddev = %v, want 2", got)
 	}
 }
 
