@@ -1,12 +1,20 @@
 package analysis
 
 import (
+	"bytes"
+	"go/ast"
+	"go/build"
 	"go/importer"
+	"go/parser"
 	"go/token"
 	"go/types"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 // stdPackages returns the standard-library import paths, vendored ones
@@ -52,7 +60,7 @@ func TestStdImporterFilesMatchBuild(t *testing.T) {
 			t.Errorf("go/build: %s: %v", path, err)
 			continue
 		}
-		got, err := l.std.files(bp.Dir)
+		got, _, err := l.std.files(bp.Dir)
 		if err != nil {
 			t.Errorf("%s: %v", path, err)
 			continue
@@ -66,18 +74,19 @@ func TestStdImporterFilesMatchBuild(t *testing.T) {
 	}
 }
 
-// exportedObjects renders every exported package-level object of pkg,
-// and every method of its exported named types, fully qualified and
-// sorted.
-func exportedObjects(pkg *types.Package) []string {
+// objects renders every package-level object of pkg, exported or not,
+// with the exact value of each constant, and every method of its named
+// types, fully qualified and sorted.
+func objects(pkg *types.Package) []string {
 	var out []string
 	scope := pkg.Scope()
 	for _, name := range scope.Names() {
 		obj := scope.Lookup(name)
-		if !obj.Exported() {
-			continue
+		s := types.ObjectString(obj, nil)
+		if c, ok := obj.(*types.Const); ok {
+			s += " = " + c.Val().ExactString()
 		}
-		out = append(out, types.ObjectString(obj, nil))
+		out = append(out, s)
 		if _, isType := obj.(*types.TypeName); !isType {
 			continue
 		}
@@ -91,16 +100,39 @@ func exportedObjects(pkg *types.Package) []string {
 	return out
 }
 
-// TestStdImporterMatchesSourceImporter: over the NAS models' closure,
-// which holds no cgo package, every exported declaration the importer
-// produces renders exactly as go/importer's source importer renders it.
+// missing returns the elements of the sorted list a that the sorted
+// list b lacks.
+func missing(a, b []string) []string {
+	var out []string
+	for _, s := range a {
+		if i := sort.SearchStrings(b, s); i == len(b) || b[i] != s {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// TestStdImporterMatchesSourceImporter: over the standard-library
+// closure of the whole module, every package-level declaration the
+// importer produces renders exactly as go/importer's source importer
+// renders it, constant values and methods included. The source
+// importer reads build.Default, so cgo is turned off there too: it
+// then selects the same pure-Go files and runs no cgo.
 func TestStdImporterMatchesSourceImporter(t *testing.T) {
+	cgo := build.Default.CgoEnabled
+	build.Default.CgoEnabled = false
+	t.Cleanup(func() { build.Default.CgoEnabled = cgo })
 	l, err := NewLoader(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	std := stdPackages(t, l, l.ModulePath()+"/internal/nas")
+	paths, err := l.ModulePackages()
+	if err != nil {
+		t.Fatal(err)
+	}
+	std := stdPackages(t, l, paths...)
 	oracle := importer.ForCompiler(token.NewFileSet(), "source", nil)
+	objs := 0
 	for _, path := range std {
 		ref, err := oracle.Import(path)
 		if err != nil {
@@ -109,11 +141,13 @@ func TestStdImporterMatchesSourceImporter(t *testing.T) {
 		if ref.Path() != path {
 			t.Fatalf("source importer resolved %s to %s", path, ref.Path())
 		}
-		got, want := exportedObjects(l.std.pkgs[path]), exportedObjects(ref)
+		got, want := objects(l.std.pkgs[path]), objects(ref)
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: exported objects differ:\n got %d: %v\nwant %d: %v", path, len(got), got, len(want), want)
+			t.Errorf("%s: declarations differ:\nonly here: %v\nonly in the source importer: %v", path, missing(got, want), missing(want, got))
 		}
+		objs += len(got)
 	}
+	t.Logf("%d packages, %d declarations", len(std), objs)
 }
 
 // TestLoadStartsNoSubprocess: the service package reaches net, which
@@ -131,4 +165,121 @@ func TestLoadStartsNoSubprocess(t *testing.T) {
 	if _, ok := l.std.pkgs["net"]; !ok {
 		t.Fatal("internal/service no longer reaches net; the test proves nothing")
 	}
+}
+
+// blankCases are Go files in which « and » mark what blank must blank.
+var blankCases = []struct{ name, tmpl string }{
+	{"generic constraint", "package p\n\nfunc F[T interface{ ~int | ~string }](x T) T {«\n\treturn x\n»}\n"},
+	{"struct and interface in the signature", "package p\n\nfunc f(a struct{ x int }) (b interface{ M() }) {« return nil »}\n"},
+	{"func result", "package p\n\nfunc f() func() {«\n\treturn func() { println() }\n»}\n"},
+	{"method of a generic type", "package p\n\nfunc (r *T[K, V]) M(k K) V {« return r.m[k] »}\n"},
+	{"braces in literals and comments", "package p\n\nfunc f() {«\n\ts, r, q := \"}\\\"}\", '}', `\n}`\n\t/* } */ // }\n\t_ = '\\''\n»}\n\nvar x = 1\n"},
+	{"assembly func then a var literal", "package p\n\nfunc g(x int) int\n\nvar m = map[string]int{«\"a\": 1, \"}\": 2»}\n"},
+	{"var group", "package p\n\nvar (\n\ta = []int{«1, 2»}\n\tb = func() int {« return 1 »}()\n\tc struct{ f int }\n\td = struct{ f int }{«f: 1»}\n)\n"},
+	{"[...] keeps its declaration", "package p\n\nvar (\n\ta = []int{1}\n\tb = [...]string{\"x\"}\n)\n\nvar c = T{«1»}\n"},
+	{"const and type untouched", "package p\n\nconst c = len(\"{\")\n\ntype T struct{ f func() }\n\ntype I interface{ M() }\n"},
+	{"exponent then a body", "package p\n\nvar e, h = 1e+3, 0x1p-2\n\nfunc k() {« _ = e »}\n"},
+	{"unterminated body", "package p\n\nfunc f() {\n"},
+}
+
+// blankCase returns the source a template holds and what blank must
+// make of it: each byte between « and » becomes a space, newlines kept.
+func blankCase(tmpl string) (src, want string) {
+	var s, w strings.Builder
+	in := false
+	for _, r := range tmpl {
+		switch {
+		case r == '«':
+			in = true
+		case r == '»':
+			in = false
+		case in && r != '\n':
+			s.WriteRune(r)
+			w.WriteString(strings.Repeat(" ", utf8.RuneLen(r)))
+		default:
+			s.WriteRune(r)
+			w.WriteRune(r)
+		}
+	}
+	return s.String(), w.String()
+}
+
+func TestBlank(t *testing.T) {
+	for _, c := range blankCases {
+		src, want := blankCase(c.tmpl)
+		got := []byte(src)
+		blank(got)
+		if string(got) != want {
+			t.Errorf("%s:\n got %q\nwant %q", c.name, got, want)
+		}
+	}
+}
+
+// declNames parses src and lists its top-level declarations.
+func declNames(src []byte) ([]string, error) {
+	f, err := parser.ParseFile(token.NewFileSet(), "f.go", src, parser.SkipObjectResolution)
+	if err != nil {
+		return nil, err
+	}
+	var names []string
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			names = append(names, "func "+d.Name.Name)
+		case *ast.GenDecl:
+			for _, s := range d.Specs {
+				switch s := s.(type) {
+				case *ast.ImportSpec:
+					names = append(names, "import "+s.Path.Value)
+				case *ast.TypeSpec:
+					names = append(names, "type "+s.Name.Name)
+				case *ast.ValueSpec:
+					for _, n := range s.Names {
+						names = append(names, d.Tok.String()+" "+n.Name)
+					}
+				}
+			}
+		}
+	}
+	return names, nil
+}
+
+// FuzzBlank: blank never panics and only turns bytes other than
+// newlines into spaces, and a file that parses still parses after it,
+// with the same top-level declarations.
+func FuzzBlank(f *testing.F) {
+	for _, name := range []string{"errors/errors.go", "errors/wrap.go", "sort/search.go", "strings/clone.go"} {
+		src, err := os.ReadFile(filepath.Join(build.Default.GOROOT, "src", filepath.FromSlash(name)))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(src)
+	}
+	for _, c := range blankCases {
+		src, _ := blankCase(c.tmpl)
+		f.Add([]byte(src))
+	}
+	f.Fuzz(func(t *testing.T, src []byte) {
+		out := bytes.Clone(src)
+		blank(out)
+		if len(out) != len(src) {
+			t.Fatalf("length %d became %d", len(src), len(out))
+		}
+		for i, c := range out {
+			if c != src[i] && (c != ' ' || src[i] == '\n') {
+				t.Fatalf("byte %d: %q became %q", i, src[i], c)
+			}
+		}
+		want, err := declNames(src)
+		if err != nil {
+			return
+		}
+		got, err := declNames(out)
+		if err != nil {
+			t.Fatalf("no longer parses: %v\n%s", err, out)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("declarations %v became %v", want, got)
+		}
+	})
 }

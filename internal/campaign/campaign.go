@@ -300,9 +300,11 @@ func (e *Engine) newProbe() (*telemetry.Collector, telemetry.Sink, mpi.Config) {
 	return col, col, cfg
 }
 
-// appRun memoizes one application execution. Dedicated runs keep their
-// trace in memory so skeleton builds can reuse it without re-simulating;
-// every other run records its statistics alone.
+// appRun memoizes one application execution. Dedicated runs of a
+// traced app keep their trace in memory so skeleton builds can reuse it
+// without re-simulating. A static app's skeletons build from its
+// signature, so its dedicated run, like every other run, records its
+// statistics alone.
 func (e *Engine) appRun(ctx context.Context, c Cell, l labels) (cellValue, error) {
 	return e.memo.do(ctx, appRunLabel(c, l), true, !e.cfg.Telemetry, func(ctx context.Context) (cellValue, error) {
 		col, sink, cfg := e.newProbe()
@@ -310,7 +312,7 @@ func (e *Engine) appRun(ctx context.Context, c Cell, l labels) (cellValue, error
 		var rec *trace.Recorder
 		var srec *trace.StatsRecorder
 		var mon mpi.Monitor
-		if l.sc == dedicatedCanon {
+		if l.sc == dedicatedCanon && c.App.Static == nil {
 			rec = trace.NewRecorder(c.NRanks)
 			mon = rec
 		} else {

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -89,6 +90,33 @@ func TestStaticCellValidation(t *testing.T) {
 	mixed.Fn = testApp().Fn
 	if _, err := e.Run(Cell{App: mixed, NRanks: 2, Scenario: cluster.Dedicated()}); err != nil {
 		t.Errorf("static app with attached Fn should run as an app cell: %v", err)
+	}
+}
+
+// TestStaticAppRunKeepsNoTrace: a static app with a program body
+// records its dedicated run statistics-only, with the same statistics
+// as the traced app's dedicated run, which alone keeps a trace.
+func TestStaticAppRunKeepsNoTrace(t *testing.T) {
+	e := New(Config{Workers: 1})
+	static := StaticApp(staticTestSig(t))
+	static.Fn = testApp().Fn
+	var stats []*trace.Stats
+	for _, app := range []App{static, testApp()} {
+		res, err := e.Run(Cell{App: app, NRanks: 2, Scenario: cluster.Dedicated()})
+		if err != nil {
+			t.Fatalf("%s: %v", app.ID, err)
+		}
+		stats = append(stats, res.Stats)
+	}
+	if stats[0] == nil || !reflect.DeepEqual(stats[0], stats[1]) {
+		t.Errorf("static app's dedicated stats %+v, traced app's %+v", stats[0], stats[1])
+	}
+	e.memo.mu.Lock()
+	defer e.memo.mu.Unlock()
+	for label, en := range e.memo.entries {
+		if traced := en.val.trace != nil; traced != strings.Contains(label, "app="+testApp().ID+"|") {
+			t.Errorf("%s: keeps a trace: %v", label, traced)
+		}
 	}
 }
 
