@@ -155,18 +155,36 @@ func BenchmarkMPIPingPong(b *testing.B) {
 	}
 }
 
-// BenchmarkMPIAllreduce measures the collective path.
-func BenchmarkMPIAllreduce(b *testing.B) {
-	cl := cluster.Build(cluster.Testbed(4), cluster.Dedicated())
-	n := b.N
-	_, err := mpi.Run(cl, 4, mpi.Config{}, nil, func(c *mpi.Comm) {
-		for i := 0; i < n; i++ {
-			c.Allreduce(8)
-		}
-	})
-	if err != nil {
-		b.Fatal(err)
+// benchCollective runs op b.N times on every rank of a dedicated
+// testbed with one rank per node, once per world size in 4 and 16.
+func benchCollective(b *testing.B, op func(c *mpi.Comm)) {
+	for _, ranks := range []int{4, 16} {
+		b.Run(fmt.Sprintf("p=%d", ranks), func(b *testing.B) {
+			b.ReportAllocs()
+			cl := cluster.Build(cluster.Testbed(ranks), cluster.Dedicated())
+			n := b.N
+			_, err := mpi.Run(cl, ranks, mpi.Config{}, nil, func(c *mpi.Comm) {
+				for i := 0; i < n; i++ {
+					op(c)
+				}
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
+}
+
+// BenchmarkMPIAllreduce measures the collective path: one 8-byte
+// Allreduce per op.
+func BenchmarkMPIAllreduce(b *testing.B) {
+	benchCollective(b, func(c *mpi.Comm) { c.Allreduce(8) })
+}
+
+// BenchmarkMPIAlltoall measures the all-pairs exchange: one Alltoall of
+// 1 KiB per pair per op.
+func BenchmarkMPIAlltoall(b *testing.B) {
+	benchCollective(b, func(c *mpi.Comm) { c.Alltoall(1024) })
 }
 
 // mgTrace builds one MG class S trace for the compression benchmarks.

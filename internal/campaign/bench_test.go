@@ -31,6 +31,7 @@ func benchGrid(b *testing.B) Grid {
 func runCampaign(b *testing.B, cfg Config) {
 	b.Helper()
 	g := benchGrid(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng := New(cfg)
@@ -61,6 +62,7 @@ func BenchmarkCampaignWarmCache(b *testing.B) {
 	if _, err := eng.PredictAll(g); err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := eng.PredictAll(g); err != nil {

@@ -88,7 +88,7 @@ type World struct {
 	finish float64 // virtual time the last rank finished
 
 	// Free lists of recycled messages and receive requests (see
-	// waitDone). One goroutine drives a world at a time, so plain
+	// waitDone). One coroutine drives a world at a time, so plain
 	// slices need no lock and reuse order stays deterministic.
 	freeMsgs []*message
 	freeReqs []*Request

@@ -231,14 +231,17 @@ func BenchmarkSimFlowScale(b *testing.B) {
 }
 
 // runLatencyScale drives the shape the mpi layer gives every message at
-// rank scale: 64 single-processor nodes with one proc each. Every
-// iteration a proc computes, then sends to proc i XOR 2^k through a
-// latency timer whose callback starts the flow (mpi's After(lat) +
-// StartFlow), waits for its own inbound payload and meets the others at
-// a barrier. Up to 64 latency timers are pending at once next to the
-// compute tasks and flows.
-func runLatencyScale(iters int) Stats {
-	const procs = 64
+// rank scale: procs single-processor nodes with one proc each, procs a
+// power of two. Every iteration a proc computes, then sends to proc
+// i XOR 2^k through a latency timer whose callback starts the flow (mpi's
+// After(lat) + StartFlow), waits for its own inbound payload and meets
+// the others at a barrier. Up to procs latency timers are pending at
+// once next to the compute tasks and flows.
+func runLatencyScale(procs, iters int) Stats {
+	bits := 0
+	for 1<<bits < procs {
+		bits++
+	}
 	e := New()
 	cpus := make([]*CPU, procs)
 	up := make([]*Resource, procs)
@@ -248,10 +251,11 @@ func runLatencyScale(iters int) Stats {
 		up[i] = e.NewResource(fmt.Sprintf("up%d", i), 125e6)
 		down[i] = e.NewResource(fmt.Sprintf("down%d", i), 125e6)
 	}
-	paths := make([][]*Resource, procs*procs)
-	for s := 0; s < procs; s++ {
-		for d := 0; d < procs; d++ {
-			paths[s*procs+d] = []*Resource{up[s], down[d]}
+	// paths[i*bits+k] is the route from proc i to its partner i^(1<<k).
+	paths := make([][]*Resource, procs*bits)
+	for i := 0; i < procs; i++ {
+		for k := 0; k < bits; k++ {
+			paths[i*bits+k] = []*Resource{up[i], down[i^(1<<k)]}
 		}
 	}
 	barCount := 0
@@ -272,19 +276,19 @@ func runLatencyScale(iters int) Stats {
 		inbox[i] = e.NewEvent()
 	}
 	for i := 0; i < procs; i++ {
-		// send is the latency timer's callback; the proc sets dst and
+		// send is the latency timer's callback; the proc sets k and
 		// bytes before arming it and changes them only after the
 		// barrier, by which time the flow has started.
 		var (
 			bytes float64
-			dst   int
+			k     int
 		)
-		send := func() { e.StartFlow(paths[i*procs+dst], bytes, inbox[dst].Fire) }
+		send := func() { e.StartFlow(paths[i*bits+k], bytes, inbox[i^(1<<k)].Fire) }
 		e.Spawn(fmt.Sprintf("rank%d", i), false, func(p *Proc) {
 			for it := 0; it < iters; it++ {
 				jit := 1 + 0.02*float64((i*31+it*17)%7-3)
 				p.Compute(cpus[i], 0.0005*jit)
-				dst = i ^ (1 << (it % 6))
+				k = it % bits
 				bytes = 64e3 * jit
 				e.After(50e-6, send)
 				p.WaitEvent(inbox[i], "recv")
@@ -299,14 +303,26 @@ func runLatencyScale(iters int) Stats {
 	return e.Stats()
 }
 
-// BenchmarkSimLatencyScale reports ns per simulation event for the
-// 64-proc latency-plus-flow mix of runLatencyScale, probe off.
-func BenchmarkSimLatencyScale(b *testing.B) {
+// benchLatencyScale reports ns per simulation event for the latency-plus-
+// flow mix of runLatencyScale on procs procs, probe off.
+func benchLatencyScale(b *testing.B, procs int) {
 	b.ReportAllocs()
 	events := 0
 	for i := 0; i < b.N; i++ {
-		events += runLatencyScale(20).Events
+		events += runLatencyScale(procs, 20).Events
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 	b.ReportMetric(float64(events)/float64(b.N), "events/op")
+}
+
+// BenchmarkSimLatencyScale is the 64-proc point of the latency mix.
+func BenchmarkSimLatencyScale(b *testing.B) { benchLatencyScale(b, 64) }
+
+// BenchmarkSimRankCurve is the latency mix's host cost per event over
+// rank count, from 4 to 256 procs. A flat curve means the per-event cost
+// does not grow with the number of procs, timers and flows in flight.
+func BenchmarkSimRankCurve(b *testing.B) {
+	for _, procs := range []int{4, 16, 64, 256} {
+		b.Run(fmt.Sprintf("p=%d", procs), func(b *testing.B) { benchLatencyScale(b, procs) })
+	}
 }

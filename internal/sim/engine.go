@@ -33,11 +33,14 @@
 // the flows it reaches, which is exact because filling decomposes over
 // connected components (see computeFlowRates). Timers, whose deadlines
 // never change, wait in a min-heap instead of the per-event scan of
-// compute and flow tasks (see advance). There is no scheduler goroutine:
-// the proc that blocks runs the event loop itself and resumes the next
-// ready proc directly, or simply continues when it is that proc (see
-// block). Task structs are pooled; the ready queue, the task list, the
-// timer heap and the filling's scratch lists reuse their backing arrays.
+// compute and flow tasks (see advance). Each proc body runs as a
+// coroutine (iter.Pull), so a switch between procs is a direct coroutine
+// switch, not a channel hand-off through the Go scheduler: the proc that
+// blocks runs the event loop itself and yields to the trampoline in Run,
+// naming the next ready proc, or simply continues when it is that proc
+// (see block). Task structs are pooled; the ready queue, the task list,
+// the timer heap and the filling's scratch lists reuse their backing
+// arrays.
 // All of it preserves bit-for-bit virtual timings — every floating-point
 // expression the old from-scratch recomputation evaluated per event is
 // either evaluated identically or skipped only when its inputs are
@@ -48,7 +51,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 
 	"perfskel/internal/telemetry"
 )
@@ -67,12 +69,10 @@ type Engine struct {
 	rateEpoch   uint64      // increments per max-min run; Resource.epoch marks the run's walk
 	taskSeq     int64
 	completions int
-	alive       int // non-daemon procs that have not finished
-	yield       chan struct{}
+	alive       int   // non-daemon procs that have not finished
+	switchTo    *Proc // the proc Run resumes when the running one yields; nil ends the run
 	failure     error
-	stopped     bool
 	ran         bool
-	wg          sync.WaitGroup
 
 	cpus  []*CPU
 	links []*Resource
@@ -96,10 +96,9 @@ type Engine struct {
 	// resolved once at SetProbe so emissions skip the string-keyed path.
 	resProbe telemetry.ResourceProbe
 
-	// abort is the cancellation signal installed by SetContext: the
-	// context's Done channel, or nil when no cancelable context is
-	// attached (the common batch case, which then pays nothing).
-	abort    <-chan struct{}
+	// abortCtx is the cancelable context installed by SetContext, or nil
+	// when none is attached (the common batch case, which then pays
+	// nothing).
 	abortCtx context.Context
 	ticks    uint // scheduler iterations since the last abort check
 
@@ -111,7 +110,7 @@ type Engine struct {
 
 // New returns an empty engine with the clock at virtual time zero.
 func New() *Engine {
-	return &Engine{yield: make(chan struct{})}
+	return &Engine{}
 }
 
 // Now returns the current virtual time in seconds.
@@ -144,38 +143,30 @@ const abortCheckInterval = 64
 // SetContext attaches a cancellation context to the engine. Run checks
 // it at simulation-event granularity (every scheduler iteration batch)
 // and aborts with an error wrapping ctx.Err() once the context is done,
-// unwinding every virtual process so no goroutine outlives the run. A
+// unwinding every virtual process so no coroutine outlives the run. A
 // nil or never-canceled context (context.Background) costs nothing.
 // Call SetContext before Run.
 func (e *Engine) SetContext(ctx context.Context) {
-	if ctx == nil {
-		e.abort, e.abortCtx = nil, nil
+	// Done returns nil for contexts that can never be canceled; keeping
+	// abortCtx nil then skips the checkpoint entirely.
+	if ctx == nil || ctx.Done() == nil {
+		e.abortCtx = nil
 		return
 	}
-	// Done returns nil for contexts that can never be canceled; keeping
-	// abort nil then skips the checkpoint entirely.
-	e.abort, e.abortCtx = ctx.Done(), ctx
+	e.abortCtx = ctx
 }
 
 // aborted reports whether the attached context has been canceled,
 // rate-limited to one real check per abortCheckInterval iterations.
 func (e *Engine) aborted() bool {
-	if e.abort == nil {
+	if e.abortCtx == nil {
 		return false
 	}
 	e.ticks++
-	if e.ticks%abortCheckInterval != 0 {
-		return false
-	}
-	select {
-	case <-e.abort:
-		return true
-	default:
-		return false
-	}
+	return e.ticks%abortCheckInterval == 0 && e.abortCtx.Err() != nil
 }
 
-// Proc is a virtual process: a goroutine whose passage of virtual time is
+// Proc is a virtual process: a coroutine whose passage of virtual time is
 // entirely explicit through Compute, Sleep and WaitEvent calls. User code
 // between those calls consumes zero virtual time.
 type Proc struct {
@@ -183,10 +174,18 @@ type Proc struct {
 	name   string
 	daemon bool
 	eng    *Engine
-	resume chan struct{}
-	parked bool   // blocked inside a yield, waiting for resume
+	parked bool   // blocked, waiting for a wake
 	done   bool   // body returned
 	reason Reason // what the proc is blocked on, for deadlock reports
+
+	// body runs as the proc's coroutine, which Run starts (see start):
+	// resume runs it until it yields or returns, yield suspends it from
+	// inside, and stop unwinds a suspended body or discards one that
+	// never ran.
+	body   func(p *Proc)
+	resume func() (struct{}, bool)
+	yield  func(struct{}) bool
+	stop   func()
 }
 
 // ID returns the process id, assigned in spawn order starting at zero.
@@ -206,10 +205,11 @@ func (p *Proc) Now() float64 { return p.eng.now }
 // returns once every non-daemon process has finished. Spawn must be called
 // before Run.
 //
-// Each process runs on its own goroutine, which also drives the event
-// loop whenever the process blocks, and once more when body returns: it
-// then hands control to the next ready process (or back to Run) and
-// exits. A panic in body fails the run with an error naming the process.
+// Each process runs as a coroutine, started by Run, that also drives the
+// event loop whenever the process blocks, and once more when body
+// returns: it then names the next ready process (or none) for Run to
+// resume. A panic in body fails the run with an error naming the
+// process.
 func (e *Engine) Spawn(name string, daemon bool, body func(p *Proc)) *Proc {
 	if e.ran {
 		panic("sim: Spawn after Run")
@@ -219,7 +219,7 @@ func (e *Engine) Spawn(name string, daemon bool, body func(p *Proc)) *Proc {
 		name:   name,
 		daemon: daemon,
 		eng:    e,
-		resume: make(chan struct{}),
+		body:   body,
 	}
 	e.procs = append(e.procs, p)
 	if !daemon {
@@ -228,56 +228,53 @@ func (e *Engine) Spawn(name string, daemon bool, body func(p *Proc)) *Proc {
 	if e.probe != nil {
 		e.probe.ProcSpawn(p.id, name, daemon)
 	}
-	e.wg.Add(1)
-	//skelvet:ignore nondeterminism proc goroutines are the coroutine substrate: a proc runs only after an unbuffered resume send and hands control on with one before it parks or exits, so exactly one goroutine executes engine state at a time
-	go func() {
-		defer e.wg.Done()
-		<-p.resume
-		if e.stopped {
-			return
-		}
-		defer func() {
-			if r := recover(); r != nil {
-				if r == errStopped {
-					return // engine shut down while we were blocked
-				}
-				if e.failure == nil {
-					e.failure = fmt.Errorf("sim: proc %q panicked: %v", p.name, r)
-				}
-				p.done = true
-				e.yield <- struct{}{}
-			}
-		}()
-		body(p)
-		p.done = true
-		if !p.daemon {
-			e.alive--
-		}
-		if e.probe != nil {
-			e.probe.ProcDone(e.now, p.id)
-		}
-		e.handoff(e.next())
-	}()
 	return p
 }
 
+// run is the proc's coroutine (see start): it runs body and then names
+// the next ready proc for Run, or records body's panic as the run's
+// failure.
+func (p *Proc) run() {
+	e := p.eng
+	defer func() {
+		if r := recover(); r != nil {
+			if r == errStopped {
+				return // engine shut down while we were blocked
+			}
+			if e.failure == nil {
+				e.failure = fmt.Errorf("sim: proc %q panicked: %v", p.name, r)
+			}
+			p.done = true
+			e.switchTo = nil
+		}
+	}()
+	p.body(p)
+	p.done = true
+	if !p.daemon {
+		e.alive--
+	}
+	if e.probe != nil {
+		e.probe.ProcDone(e.now, p.id)
+	}
+	e.switchTo = e.next()
+}
+
 // errStopped is panicked inside blocked procs when the engine shuts down,
-// unwinding them so their goroutines exit.
+// unwinding their coroutines.
 var errStopped = fmt.Errorf("sim: engine stopped")
 
 // block parks the calling proc until it is resumed. r is recorded for
 // deadlock diagnostics; its text is materialized only for an attached
 // probe or an actual deadlock report. Must be called from the proc's own
-// goroutine while it is the running proc.
+// body while it is the running proc.
 //
-// The blocking proc drives the event loop itself: it runs next on its
-// own goroutine, advancing virtual time until some proc is ready. When
+// The blocking proc drives the event loop itself: it runs next inside its
+// own coroutine, advancing virtual time until some proc is ready. When
 // that proc is the caller (its own task completed first), block returns
-// without any channel operation. Otherwise it hands control to the next
-// proc with one resume send, or to Run with a yield send when the run is
-// over, and parks on its private channel. All engine-state mutations
-// happen before the send, so the woken goroutine has exclusive access
-// the moment it runs.
+// without a switch. Otherwise it records the next proc in switchTo (nil
+// when the run is over) and yields to Run, which resumes that proc. All
+// engine-state mutations happen before the yield, and exactly one
+// coroutine runs at a time.
 func (p *Proc) block(r Reason) {
 	p.reason = r
 	p.parked = true
@@ -286,23 +283,12 @@ func (p *Proc) block(r Reason) {
 		e.probe.ProcBlock(e.now, p.id, e.reasonText(r))
 	}
 	if next := e.next(); next != p {
-		e.handoff(next)
-		<-p.resume
-		if e.stopped {
+		e.switchTo = next
+		if !p.yield(struct{}{}) {
 			panic(errStopped)
 		}
 	}
 	p.reason = Reason{}
-}
-
-// handoff passes control from the running goroutine to next, or back to
-// Run when next is nil (the run is over).
-func (e *Engine) handoff(next *Proc) {
-	if next == nil {
-		e.yield <- struct{}{}
-		return
-	}
-	next.resume <- struct{}{}
 }
 
 // reasonText renders a block reason for the probe. Static reasons (the
@@ -391,9 +377,10 @@ func (d *DeadlockError) Error() string {
 // process converted to an error, or an event-loop error if a completion
 // callback panicked. Run may be called only once.
 //
-// Run starts the first proc and then waits: from there on the event loop
-// is driven by whichever proc blocks or exits (see block), and control
-// returns to Run exactly once, when next reports the run over.
+// Run is a trampoline: it resumes the first ready proc, and from there on
+// the event loop is driven by whichever proc blocks or exits (see block).
+// Each one yields back to Run naming the proc to resume next, until next
+// reports the run over.
 func (e *Engine) Run() error {
 	if e.ran {
 		panic("sim: Run called twice")
@@ -401,12 +388,13 @@ func (e *Engine) Run() error {
 	e.ran = true
 	// All procs start ready at time zero, in id order.
 	for _, p := range e.procs {
+		p.start()
 		p.parked = true
 		e.wake(p)
 	}
-	if p := e.next(); p != nil {
-		p.resume <- struct{}{}
-		<-e.yield
+	for p := e.next(); p != nil; p = e.switchTo {
+		e.switchTo = nil
+		p.resume()
 	}
 	e.shutdown()
 	return e.failure
@@ -416,7 +404,7 @@ func (e *Engine) Run() error {
 // from the ready queue, or returns nil when the run is over: a failure
 // was recorded, every non-daemon proc finished, the attached context
 // fired, the remaining procs deadlocked, or the clock passed
-// MaxVirtualTime. It runs on the goroutine that currently holds control
+// MaxVirtualTime. It runs in whichever context currently holds control
 // (a blocking or exiting proc, or Run before the first proc starts).
 func (e *Engine) next() *Proc {
 	for {
@@ -454,7 +442,7 @@ func (e *Engine) next() *Proc {
 // step runs one advance, turning a panic raised inside it — by a
 // completion callback, or by the engine's own consistency checks — into
 // the run's failure. The panic belongs to the event loop, not to the
-// proc whose goroutine happens to be driving it, so it is recovered here
+// proc whose coroutine happens to be driving it, so it is recovered here
 // before it can unwind into (or be swallowed by) that proc's body.
 func (e *Engine) step() {
 	defer func() {
@@ -465,24 +453,18 @@ func (e *Engine) step() {
 	e.advance()
 }
 
-// shutdown unwinds every still-parked process so its goroutine exits, then
-// waits for all process goroutines.
+// shutdown stops every proc's coroutine. An unfinished proc is parked
+// inside block, sitting in the ready queue, or has never run; stop
+// unwinds the first kind with errStopped and discards the others.
 func (e *Engine) shutdown() {
-	e.stopped = true
-	// Every unfinished proc is blocked on <-p.resume: either parked inside
-	// block(), sitting in the ready queue, or not yet resumed for the first
-	// time; the goroutine that ended the run sent its yield and parked
-	// the same way, unless its body had returned. A blocking send reaches
-	// each of them exactly once; they observe e.stopped and unwind.
 	for _, p := range e.procs {
 		if !p.done {
 			p.parked = false
-			p.resume <- struct{}{}
 		}
+		p.stop()
 	}
 	e.ready = nil
 	e.readyHead = 0
-	e.wg.Wait()
 }
 
 // CPUStat reports one CPU group's accumulated activity.

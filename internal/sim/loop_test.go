@@ -8,7 +8,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 )
 
 // orderEntry is one step of a completion batch as the engine runs it: a
@@ -158,16 +157,13 @@ func TestCompletionOrderWithTimerHeap(t *testing.T) {
 	}
 }
 
-// waitGoroutines waits briefly for the goroutine count to fall back to
-// base: a proc goroutine that has signalled its WaitGroup may still be
-// returning when Run does.
-func waitGoroutines(t *testing.T, base int) {
+// checkGoroutines fails the test if more goroutines are alive than at
+// base. A proc coroutine's goroutine is gone by the time its stop
+// returns, so Run leaves none behind and no waiting is needed.
+func checkGoroutines(t *testing.T, base int) {
 	t.Helper()
-	for i := 0; runtime.NumGoroutine() > base; i++ {
-		if i == 1000 {
-			t.Fatalf("%d goroutines after the run, baseline %d: a proc goroutine leaked", runtime.NumGoroutine(), base)
-		}
-		time.Sleep(time.Millisecond)
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines, baseline %d: a proc coroutine leaked", n, base)
 	}
 }
 
@@ -187,8 +183,8 @@ func spawnBystanders(e *Engine) {
 
 // TestEventLoopPanicIsRunError: a completion callback that panics ends
 // the run with an error naming the event loop at the callback's virtual
-// time, not the proc whose goroutine was driving the loop, and every
-// proc goroutine exits. The loop is driven by a proc blocked in Sleep in
+// time, not the proc whose coroutine was driving the loop, and every
+// proc coroutine exits. The loop is driven by a proc blocked in Sleep in
 // one case and by a proc whose body has just returned in the other.
 func TestEventLoopPanicIsRunError(t *testing.T) {
 	for _, tc := range []struct {
@@ -204,7 +200,7 @@ func TestEventLoopPanicIsRunError(t *testing.T) {
 		}},
 		{"exiting proc drives", func(e *Engine) {
 			// The bystanders block first (they have the lower ids), so
-			// when stepper returns nothing is ready and its goroutine
+			// when stepper returns nothing is ready and its coroutine
 			// advances the clock on its way out.
 			spawnBystanders(e)
 			e.Spawn("stepper", false, func(p *Proc) {
@@ -227,7 +223,7 @@ func TestEventLoopPanicIsRunError(t *testing.T) {
 			if strings.Contains(msg, "stepper") || strings.Contains(msg, "proc") {
 				t.Fatalf("Run error %q blames a proc", msg)
 			}
-			waitGoroutines(t, base)
+			checkGoroutines(t, base)
 		})
 	}
 }
@@ -235,7 +231,7 @@ func TestEventLoopPanicIsRunError(t *testing.T) {
 // TestCancelMidRunUnwindsProcs: a context canceled mid-run, here by a
 // completion callback at a virtual instant well inside the run, stops
 // the engine with an error wrapping context.Canceled, and every proc
-// goroutine — running, parked, sleeping, ready or daemon — exits.
+// coroutine — running, parked, sleeping, ready or daemon — exits.
 func TestCancelMidRunUnwindsProcs(t *testing.T) {
 	base := runtime.NumGoroutine()
 	e := New()
@@ -260,5 +256,124 @@ func TestCancelMidRunUnwindsProcs(t *testing.T) {
 	if now := e.Now(); now < 0.5 || now > 1 {
 		t.Fatalf("run stopped at t=%v, want shortly after the cancel at t=0.5", now)
 	}
-	waitGoroutines(t, base)
+	checkGoroutines(t, base)
+}
+
+// TestRunExitLeavesNoCoroutine: every way a run can end returns the
+// expected error and stops every proc coroutine, whether the proc
+// finished, is parked, sleeping, ready, or never ran.
+func TestRunExitLeavesNoCoroutine(t *testing.T) {
+	// worker computes and sleeps in a loop far longer than any row runs.
+	worker := func(cpu *CPU) func(p *Proc) {
+		return func(p *Proc) {
+			for it := 0; it < 1_000_000; it++ {
+				p.Compute(cpu, 1e-3)
+				p.Sleep(1e-3)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		// setup builds the run; a non-nil check replaces the exact
+		// comparison of the error text with want.
+		setup func(e *Engine, cpu *CPU)
+		want  string
+		check func(err error) bool
+	}{
+		{name: "normal finish", setup: func(e *Engine, cpu *CPU) {
+			for i := 0; i < 3; i++ {
+				e.Spawn(fmt.Sprintf("w%d", i), false, func(p *Proc) {
+					for it := 0; it < 10; it++ {
+						p.Compute(cpu, 1e-3)
+						p.Sleep(1e-3)
+					}
+				})
+			}
+		}},
+		{name: "daemon still parked", setup: func(e *Engine, cpu *CPU) {
+			e.Spawn("main", false, func(p *Proc) { p.Sleep(1) })
+			e.Spawn("daemon", true, func(p *Proc) {
+				for {
+					p.Compute(cpu, 0.3)
+				}
+			})
+		}},
+		{name: "deadlock", setup: func(e *Engine, cpu *CPU) {
+			never := e.NewEvent()
+			e.Spawn("stuck", false, func(p *Proc) { p.WaitEvent(never, "never") })
+			e.Spawn("done", false, func(p *Proc) { p.Sleep(1) })
+		}, want: "sim: deadlock at t=1.000000, blocked: [stuck: never]"},
+		{name: "MaxVirtualTime", setup: func(e *Engine, cpu *CPU) {
+			e.MaxVirtualTime = 2.5
+			e.Spawn("forever", false, func(p *Proc) {
+				for {
+					p.Sleep(1)
+				}
+			})
+			spawnBystanders(e)
+		}, want: "sim: virtual time 3.000 exceeded limit 2.500"},
+		{name: "cancel before the first proc", setup: func(e *Engine, cpu *CPU) {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			e.SetContext(ctx)
+			spawnBystanders(e)
+			for i := 0; i < 4; i++ {
+				e.Spawn(fmt.Sprintf("worker%d", i), false, worker(cpu))
+			}
+		}, check: func(err error) bool { return errors.Is(err, context.Canceled) }},
+		{name: "cancel mid-run", setup: func(e *Engine, cpu *CPU) {
+			ctx, cancel := context.WithCancel(context.Background())
+			e.SetContext(ctx)
+			spawnBystanders(e)
+			for i := 0; i < 4; i++ {
+				e.Spawn(fmt.Sprintf("worker%d", i), false, worker(cpu))
+			}
+			e.After(0.5, cancel)
+		}, check: func(err error) bool { return errors.Is(err, context.Canceled) }},
+		{name: "proc panic", setup: func(e *Engine, cpu *CPU) {
+			spawnBystanders(e)
+			e.Spawn("bad", false, func(p *Proc) { panic("boom") })
+			// Next in line when bad panics at t=0, so it never runs.
+			e.Spawn("unstarted", false, func(p *Proc) { t.Error("unstarted proc ran") })
+		}, want: `sim: proc "bad" panicked: boom`},
+		{name: "event-loop panic", setup: func(e *Engine, cpu *CPU) {
+			spawnBystanders(e)
+			e.Spawn("stepper", false, func(p *Proc) {
+				e.After(1, func() { panic("bad callback") })
+				p.Sleep(2)
+			})
+		}, want: "sim: event loop panicked at t=1.000000: bad callback"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			e := New()
+			tc.setup(e, e.NewCPU("n0", 2, 1))
+			err := e.Run()
+			switch {
+			case tc.check != nil:
+				if !tc.check(err) {
+					t.Fatalf("Run error = %v", err)
+				}
+			case tc.want == "":
+				if err != nil {
+					t.Fatalf("Run error = %v, want nil", err)
+				}
+			case err == nil || err.Error() != tc.want:
+				t.Fatalf("Run error = %v, want %q", err, tc.want)
+			}
+			checkGoroutines(t, base)
+		})
+	}
+}
+
+// TestSpawnWithoutRunStartsNothing: procs get their coroutines from Run,
+// so an engine that is set up and then abandoned before Run — as
+// mpi.Launch does when it rejects its arguments after cluster.Build
+// spawned the contenders — leaves nothing running.
+func TestSpawnWithoutRunStartsNothing(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := New()
+	spawnBystanders(e)
+	e.Spawn("worker", false, func(p *Proc) { t.Error("a proc ran without Run") })
+	checkGoroutines(t, base)
 }

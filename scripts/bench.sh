@@ -1,12 +1,12 @@
 #!/bin/sh
 # bench.sh - regenerate every committed BENCH_*.json at the repository
-# root: the sim event loop, the telemetry overhead, skeleton
-# construction, static analysis, the campaign engine, the critical-path
-# profiler, static signature synthesis and skeletond. Each suite's
-# `go test -bench` output goes to a raw file, and cmd/benchjson reduces
-# it to the median of every reported unit per benchmark, so all eight
-# files share one schema. Compare two commits by running the script on
-# both in one session on one machine; the files carry no baselines.
+# root: the sim event loop, the telemetry overhead and mpi collectives,
+# skeleton construction, static analysis, the campaign engine, the
+# critical-path profiler, static signature synthesis and skeletond. Each
+# suite's `go test -bench` output goes to a raw file, and cmd/benchjson
+# reduces it to the median of every reported unit per benchmark, so all
+# eight files share one schema. Compare two commits by running the script
+# on both in one session on one machine; the files carry no baselines.
 #
 # BENCH_COUNT sets the repetitions per benchmark (default 5). Extra
 # arguments are passed to every `go test` (e.g. -benchtime 20x). A
@@ -38,14 +38,14 @@ reduce() {
 }
 
 echo "==> sim (count=$count)"
-go test -run '^$' -bench 'BenchmarkSim(MixOff|MixOn|SteadyCompute|FlowScale|LatencyScale)$' \
+go test -run '^$' -bench 'BenchmarkSim(MixOff|MixOn|SteadyCompute|FlowScale|LatencyScale|RankCurve)$' \
     -benchmem -count "$count" "$@" ./internal/sim/ > "$raw/sim.txt" || fail sim
-reduce sim "sim event loop: CG/MG-shaped mix (8 procs, 4 nodes, flows+barriers) probe off/on; compute/sleep steady state; 64-node flow mix; 64-proc latency mix"
+reduce sim "sim event loop: CG/MG-shaped mix (8 procs, 4 nodes, flows+barriers) probe off/on; compute/sleep steady state; 64-node flow mix; latency mix on 64 procs and over 4-256 procs"
 
 echo "==> telemetry (count=$count)"
-go test -run '^$' -bench 'BenchmarkTelemetry(Off|On)$' \
+go test -run '^$' -bench 'BenchmarkTelemetry(Off|On)$|BenchmarkMPI(Allreduce|Alltoall)$' \
     -benchmem -count "$count" "$@" . > "$raw/telemetry.txt" || fail telemetry
-reduce telemetry "one CG class A run, 4 ranks, dedicated, without and with the full telemetry collector"
+reduce telemetry "one CG class A run, 4 ranks, dedicated, without and with the full telemetry collector; one mpi Allreduce (8 B) and Alltoall (1 KiB per pair) on 4 and 16 ranks"
 
 echo "==> construct (count=$count)"
 go test -run '^$' -bench 'BenchmarkConstruct(Scale|KSweep)$' \
@@ -59,7 +59,7 @@ reduce analysis "commgraph extract+match of a 200-iteration ring, unrolled and a
 
 echo "==> campaign (count=$count)"
 go test -run '^$' -bench 'BenchmarkCampaign(Serial|Parallel|WarmCache)$' \
-    -benchtime 1x -count "$count" "$@" ./internal/campaign/ > "$raw/campaign.txt" || fail campaign
+    -benchtime 1x -benchmem -count "$count" "$@" ./internal/campaign/ > "$raw/campaign.txt" || fail campaign
 reduce campaign "campaign PredictAll: CG+MG class A, 4 ranks, 5 scenarios, K in {8,16}, measured; serial, full worker pool, warm cache"
 
 echo "==> critpath (count=$count)"
