@@ -31,7 +31,9 @@ type CampaignGrid = campaign.Grid
 // CampaignApp is an application under a stable cache identity.
 type CampaignApp = campaign.App
 
-// CampaignRunResult is one executed cell's outcome.
+// CampaignRunResult is one executed cell's outcome. Dedicated runs and
+// skeleton runs carry Stats; an application run (K == 0) under any other
+// scenario is the measured actual, is only timed, and carries nil Stats.
 type CampaignRunResult = campaign.RunResult
 
 // CampaignStats counts an engine's cache traffic: memory hits, disk

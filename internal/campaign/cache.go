@@ -17,9 +17,10 @@ import (
 	"perfskel/internal/trace"
 )
 
-// cellValue is what one cache cell holds. Run cells carry a time and the
-// trace statistics; build cells carry the constructed program and its
-// signature; ladder cells carry a dedicated trace's threshold ladder.
+// cellValue is what one cache cell holds. Run cells carry a time and,
+// unless they are measured application runs, the trace statistics;
+// build cells carry the constructed program and its signature; ladder
+// cells carry a dedicated trace's threshold ladder.
 // The trace, the ladder and the telemetry collector are memory-only:
 // the first two are large and reconstructible, and a collector only
 // describes a simulation this process actually executed.
@@ -42,6 +43,18 @@ type diskEntry struct {
 	Program   json.RawMessage `json:"program,omitempty"`
 	Signature json.RawMessage `json:"signature,omitempty"`
 }
+
+// cellKind says what a cell keeps, and so what its disk entry must
+// hold to be served: memory-only cells are never persisted, and an entry
+// that lacks what its kind keeps is a miss.
+type cellKind uint8
+
+const (
+	memOnly   cellKind = iota // trace and ladder cells
+	timedRun                  // a measured application run: its time alone
+	statsRun                  // a dedicated or skeleton run: time and Stats
+	buildCell                 // a skeleton construction: program and signature
+)
 
 // Stats counts what the cache did for one engine's lifetime.
 type Stats struct {
@@ -84,7 +97,7 @@ func isCtxErr(err error) bool {
 // do returns the cell's value, computing it with compute on first
 // request; later requests for an in-flight cell wait on it
 // (singleflight), so a cell is computed at most once per engine no
-// matter how many workers request it. persist marks the cell
+// matter how many workers request it. Every kind but memOnly is
 // disk-cacheable; diskRead additionally allows satisfying it from disk
 // (an engine collecting telemetry always simulates, so it passes
 // diskRead=false while still writing). Deterministic errors are cached
@@ -93,7 +106,7 @@ func isCtxErr(err error) bool {
 // computation's entry is removed and the next request (including a
 // waiter that inherited the abandonment) computes the cell afresh under
 // its own context.
-func (m *memo) do(ctx context.Context, label string, persist, diskRead bool, compute func(ctx context.Context) (cellValue, error)) (cellValue, error) {
+func (m *memo) do(ctx context.Context, label string, kind cellKind, diskRead bool, compute func(ctx context.Context) (cellValue, error)) (cellValue, error) {
 	for {
 		m.mu.Lock()
 		if e, ok := m.entries[label]; ok {
@@ -118,8 +131,9 @@ func (m *memo) do(ctx context.Context, label string, persist, diskRead bool, com
 		m.entries[label] = e
 		m.mu.Unlock()
 
-		if m.dir != "" && persist && diskRead {
-			if v, ok := m.loadDisk(label); ok {
+		persist := m.dir != "" && kind != memOnly
+		if persist && diskRead {
+			if v, ok := m.loadDisk(label, kind); ok {
 				m.stats.diskHits.Add(1)
 				e.val = v
 				close(e.done)
@@ -128,7 +142,7 @@ func (m *memo) do(ctx context.Context, label string, persist, diskRead bool, com
 		}
 		m.stats.misses.Add(1)
 		e.val, e.err = compute(ctx)
-		if e.err == nil && m.dir != "" && persist {
+		if e.err == nil && persist {
 			// Best effort: a cache-write failure (full disk, permissions)
 			// only costs a future recompute.
 			_ = m.saveDisk(label, e.val)
@@ -179,9 +193,13 @@ func (m *memo) path(label string) string {
 	return filepath.Join(m.dir, keyOf(label)+".json")
 }
 
-// loadDisk reads a persisted cell; any failure (missing, corrupt, label
-// mismatch) is a miss.
-func (m *memo) loadDisk(label string) (cellValue, bool) {
+// loadDisk reads a persisted cell of the given kind. Any failure is a
+// miss: a missing or corrupt file, a label mismatch, or an entry that
+// lacks what its kind keeps. A run needs a time >= 0 and, unless
+// it is timed only, its Stats; a build needs a program and a signature.
+// Only what the kind keeps is read, so a measured run's entry that still
+// holds Stats is served as the time alone, like a fresh run.
+func (m *memo) loadDisk(label string, kind cellKind) (cellValue, bool) {
 	raw, err := os.ReadFile(m.path(label))
 	if err != nil {
 		return cellValue{}, false
@@ -190,22 +208,34 @@ func (m *memo) loadDisk(label string) (cellValue, bool) {
 	if err := json.Unmarshal(raw, &de); err != nil || de.Label != label {
 		return cellValue{}, false
 	}
-	v := cellValue{time: de.Time, stats: de.Stats}
-	if len(de.Program) > 0 {
+	switch kind {
+	case timedRun, statsRun:
+		if de.Time < 0 { // JSON holds no NaN or infinity
+			return cellValue{}, false
+		}
+		v := cellValue{time: de.Time}
+		if kind == statsRun {
+			if de.Stats == nil {
+				return cellValue{}, false
+			}
+			v.stats = de.Stats
+		}
+		return v, true
+	case buildCell:
+		if len(de.Program) == 0 || len(de.Signature) == 0 {
+			return cellValue{}, false
+		}
 		p, err := skeleton.Read(bytes.NewReader(de.Program))
 		if err != nil {
 			return cellValue{}, false
 		}
-		v.prog = p
-	}
-	if len(de.Signature) > 0 {
 		s, err := signature.Read(bytes.NewReader(de.Signature))
 		if err != nil {
 			return cellValue{}, false
 		}
-		v.sig = s
+		return cellValue{prog: p, sig: s}, true
 	}
-	return v, true
+	return cellValue{}, false
 }
 
 // saveDisk persists a cell's durable parts. The write goes through a

@@ -68,8 +68,11 @@ type StaticSig struct {
 // trace dependency; application cells (K == 0) are rejected because a
 // static app carries no program body to simulate, and predictions take
 // the signature's modeled AppTime as their dedicated baseline. Attach
-// Fn afterwards to mix static skeleton cells with traced app-run cells
-// (and a simulated baseline) of the same program.
+// Fn afterwards to mix static skeleton cells with app-run cells (and a
+// simulated baseline) of the same program. Those app runs are keyed by
+// the static app's identity, not by Fn, so a traced app with the same Fn
+// in the same campaign shares none of them: each app simulates its own
+// dedicated and measured runs.
 func StaticApp(s *StaticSig) App {
 	return App{ID: "static:" + s.Key, Static: s}
 }
@@ -134,8 +137,11 @@ type Cell struct {
 type RunResult struct {
 	// Time is the run's parallel execution time in virtual seconds.
 	Time float64
-	// Stats is the run's trace-derived time breakdown. Treat as
-	// read-only: the value is shared with the cache.
+	// Stats is the run's trace-derived time breakdown. Dedicated runs
+	// and skeleton runs carry it; an application run (K == 0) under any
+	// other scenario is the measured actual a prediction is checked
+	// against, is only timed, and carries nil. Treat as read-only: the
+	// value is shared with the cache.
 	Stats *trace.Stats
 	// Telemetry is the cell's collector when the engine was configured
 	// with Config.Telemetry and this process executed the cell.
@@ -303,19 +309,26 @@ func (e *Engine) newProbe() (*telemetry.Collector, telemetry.Sink, mpi.Config) {
 // appRun memoizes one application execution. Dedicated runs of a
 // traced app keep their trace in memory so skeleton builds can reuse it
 // without re-simulating. A static app's skeletons build from its
-// signature, so its dedicated run, like every other run, records its
-// statistics alone.
+// signature, so its dedicated run records its statistics alone. A run
+// under any other scenario is the measured actual a prediction is checked
+// against: it is only timed, runs with no monitor and carries no Stats.
 func (e *Engine) appRun(ctx context.Context, c Cell, l labels) (cellValue, error) {
-	return e.memo.do(ctx, appRunLabel(c, l), true, !e.cfg.Telemetry, func(ctx context.Context) (cellValue, error) {
+	dedicated := l.sc == dedicatedCanon
+	kind := timedRun
+	if dedicated {
+		kind = statsRun
+	}
+	return e.memo.do(ctx, appRunLabel(c, l), kind, !e.cfg.Telemetry, func(ctx context.Context) (cellValue, error) {
 		col, sink, cfg := e.newProbe()
 		cl := cluster.BuildProbed(c.Topo, c.Scenario, sink)
 		var rec *trace.Recorder
 		var srec *trace.StatsRecorder
-		var mon mpi.Monitor
-		if l.sc == dedicatedCanon && c.App.Static == nil {
+		var mon mpi.Monitor // stays nil for a measured run
+		switch {
+		case dedicated && c.App.Static == nil:
 			rec = trace.NewRecorder(c.NRanks)
 			mon = rec
-		} else {
+		case dedicated:
 			srec = trace.NewStatsRecorder(c.NRanks)
 			mon = srec
 		}
@@ -329,14 +342,14 @@ func (e *Engine) appRun(ctx context.Context, c Cell, l labels) (cellValue, error
 			return cellValue{}, fmt.Errorf("campaign: %s under %s: %w", c.App.ID, c.Scenario.Name, err)
 		}
 		v := cellValue{time: dur, tel: col}
-		var st trace.Stats
 		if rec != nil {
 			v.trace = rec.Finish(dur)
-			st = v.trace.Stats()
-		} else {
-			st = srec.Finish(dur)
+			st := v.trace.Stats()
+			v.stats = &st
+		} else if srec != nil {
+			st := srec.Finish(dur)
+			v.stats = &st
 		}
-		v.stats = &st
 		return v, nil
 	})
 }
@@ -359,7 +372,7 @@ func (e *Engine) ensureTrace(ctx context.Context, c Cell) (*trace.Trace, float64
 	if v.trace != nil {
 		return v.trace, v.time, nil
 	}
-	v, err = e.memo.do(ctx, traceLabel(d, l), false, false, func(ctx context.Context) (cellValue, error) {
+	v, err = e.memo.do(ctx, traceLabel(d, l), memOnly, false, func(ctx context.Context) (cellValue, error) {
 		cl := cluster.Build(d.Topo, d.Scenario)
 		rec := trace.NewRecorder(d.NRanks)
 		if err := e.acquire(ctx); err != nil {
@@ -384,7 +397,7 @@ func (e *Engine) ensureTrace(ctx context.Context, c Cell) (*trace.Trace, float64
 // set builds from the one ladder, so each threshold step is clustered
 // and folded once per trace. The ladder is memory-only, like the trace.
 func (e *Engine) ladder(ctx context.Context, c Cell, l labels) (*signature.Ladder, error) {
-	v, err := e.memo.do(ctx, ladderLabel(c, l), false, false, func(ctx context.Context) (cellValue, error) {
+	v, err := e.memo.do(ctx, ladderLabel(c, l), memOnly, false, func(ctx context.Context) (cellValue, error) {
 		tr, _, err := e.ensureTrace(ctx, c)
 		if err != nil {
 			return cellValue{}, err
@@ -409,7 +422,7 @@ func (e *Engine) ladder(ctx context.Context, c Cell, l labels) (*signature.Ladde
 func (e *Engine) build(ctx context.Context, c Cell, l labels) (cellValue, error) {
 	opts := e.skelOpts(c)
 	if c.App.Static != nil {
-		return e.memo.do(ctx, buildLabel(c, l, opts), true, !e.cfg.Telemetry, func(ctx context.Context) (cellValue, error) {
+		return e.memo.do(ctx, buildLabel(c, l, opts), buildCell, !e.cfg.Telemetry, func(ctx context.Context) (cellValue, error) {
 			if err := e.acquire(ctx); err != nil {
 				return cellValue{}, err
 			}
@@ -424,7 +437,7 @@ func (e *Engine) build(ctx context.Context, c Cell, l labels) (cellValue, error)
 			return cellValue{prog: prog, sig: c.App.Static.Sig}, nil
 		})
 	}
-	return e.memo.do(ctx, buildLabel(c, l, opts), true, !e.cfg.Telemetry, func(ctx context.Context) (cellValue, error) {
+	return e.memo.do(ctx, buildLabel(c, l, opts), buildCell, !e.cfg.Telemetry, func(ctx context.Context) (cellValue, error) {
 		lad, err := e.ladder(ctx, c, l)
 		if err != nil {
 			return cellValue{}, err
@@ -444,7 +457,7 @@ func (e *Engine) build(ctx context.Context, c Cell, l labels) (cellValue, error)
 // skelRun memoizes one skeleton execution under a scenario.
 func (e *Engine) skelRun(ctx context.Context, c Cell, l labels) (cellValue, error) {
 	opts := e.skelOpts(c)
-	return e.memo.do(ctx, skelRunLabel(c, l, opts), true, !e.cfg.Telemetry, func(ctx context.Context) (cellValue, error) {
+	return e.memo.do(ctx, skelRunLabel(c, l, opts), statsRun, !e.cfg.Telemetry, func(ctx context.Context) (cellValue, error) {
 		bv, err := e.build(ctx, c, l)
 		if err != nil {
 			return cellValue{}, err

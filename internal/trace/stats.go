@@ -57,45 +57,51 @@ func (s *Stats) close(nranks int, appTime float64) {
 }
 
 // StatsRecorder records a run for its Stats alone. Where a Recorder keeps
-// a 72-byte Event, it keeps the event's operation and duration, 16 bytes,
-// and its Finish returns exactly what Recorder.Finish(appTime).Stats()
-// would. It implements mpi.Monitor and mpi.RankFinisher.
+// a 72-byte Event, it keeps the event's operation in one byte and its
+// duration in eight, in two parallel per-rank slices, and its Finish
+// returns exactly what Recorder.Finish(appTime).Stats() would. It
+// implements mpi.Monitor and mpi.RankFinisher.
 type StatsRecorder struct {
 	clock
-	events [][]opTime
-}
-
-// opTime is one event as Stats reads it.
-type opTime struct {
-	op mpi.Op
-	d  float64
+	ops [][]uint8   // per rank, each event's mpi.Op
+	ds  [][]float64 // per rank, each event's duration
 }
 
 // NewStatsRecorder returns a stats-only recorder for nranks ranks.
 func NewStatsRecorder(nranks int) *StatsRecorder {
-	return &StatsRecorder{clock: newClock(nranks), events: make([][]opTime, nranks)}
+	return &StatsRecorder{
+		clock: newClock(nranks),
+		ops:   make([][]uint8, nranks),
+		ds:    make([][]float64, nranks),
+	}
 }
 
 // Record implements mpi.Monitor, as Recorder.Record does.
 func (r *StatsRecorder) Record(rank int, rec mpi.OpRecord) {
 	if from, ok := r.advance(rank, rec.Start, rec.End); ok {
-		r.events[rank] = append(r.events[rank], opTime{mpi.OpCompute, rec.Start - from})
+		r.add(rank, mpi.OpCompute, rec.Start-from)
 	}
-	r.events[rank] = append(r.events[rank], opTime{rec.Op, rec.End - rec.Start})
+	r.add(rank, rec.Op, rec.End-rec.Start)
+}
+
+// add appends one event to the rank's log. Every mpi.Op fits in a byte.
+func (r *StatsRecorder) add(rank int, op mpi.Op, d float64) {
+	r.ops[rank] = append(r.ops[rank], uint8(op))
+	r.ds[rank] = append(r.ds[rank], d)
 }
 
 // Finish closes the run at the given parallel execution time, as
 // Recorder.Finish does, and returns its statistics.
 func (r *StatsRecorder) Finish(appTime float64) Stats {
 	s := newStats()
-	for rank, evs := range r.events {
-		for _, e := range evs {
-			s.add(e.op, e.d)
+	for rank, ops := range r.ops {
+		for i, op := range ops {
+			s.add(mpi.Op(op), r.ds[rank][i])
 		}
 		if from, to, ok := r.tail(rank, appTime); ok {
 			s.add(mpi.OpCompute, to-from)
 		}
 	}
-	s.close(len(r.events), appTime)
+	s.close(len(r.ops), appTime)
 	return s
 }

@@ -92,8 +92,16 @@ func TestStatsRecorderTrailingGaps(t *testing.T) {
 	})
 }
 
+// TestStatsRecorderEventSize bounds what one event keeps: a byte for the
+// operation and a float64 for the duration, with no struct padding.
 func TestStatsRecorderEventSize(t *testing.T) {
-	if n := unsafe.Sizeof(opTime{}); n > 16 {
-		t.Errorf("StatsRecorder stores %d bytes per event, want at most 16", n)
+	var r StatsRecorder
+	if n := unsafe.Sizeof(r.ops[0][0]) + unsafe.Sizeof(r.ds[0][0]); n > 9 {
+		t.Errorf("StatsRecorder stores %d bytes per event, want at most 9", n)
+	}
+	for op := mpi.OpInvalid; op.String() != "Op(?)"; op++ {
+		if mpi.Op(uint8(op)) != op {
+			t.Errorf("%v does not fit the recorder's one-byte op", op)
+		}
 	}
 }
