@@ -11,6 +11,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"unicode/utf8"
 )
@@ -24,13 +25,15 @@ import (
 // are parsed one at a time in directory order, which keeps the shared
 // FileSet deterministic, and function bodies are not type-checked: an
 // importer needs only the package's declarations, so blank empties the
-// bodies before the parser sees them.
+// bodies before the parser sees them, and an import that no remaining
+// declaration names is not loaded at all (see declImporter).
 type stdImporter struct {
 	fset  *token.FileSet
 	ctxt  build.Context
 	src   string // GOROOT/src
 	sizes types.Sizes
 	pkgs  map[string]*types.Package // nil while a package is being imported
+	names map[string]string         // package names read for stubs
 }
 
 func newStdImporter(fset *token.FileSet) *stdImporter {
@@ -42,6 +45,7 @@ func newStdImporter(fset *token.FileSet) *stdImporter {
 		src:   filepath.Join(ctxt.GOROOT, "src"),
 		sizes: types.SizesFor("gc", ctxt.GOARCH),
 		pkgs:  map[string]*types.Package{},
+		names: map[string]string{},
 	}
 }
 
@@ -50,31 +54,35 @@ func (s *stdImporter) Import(path string) (*types.Package, error) {
 	return s.ImportFrom(path, "", 0)
 }
 
-// ImportFrom implements types.ImporterFrom. srcDir is the importing
-// package's directory: only a package inside GOROOT may import from
-// GOROOT/src/vendor, as with the go command. A memoized package is
+// resolve returns the path under which GOROOT/src holds the package
+// that an import of path from srcDir names, and its directory. srcDir
+// is the importing package's directory: only a package inside GOROOT
+// may import from GOROOT/src/vendor, as with the go command.
+func (s *stdImporter) resolve(path, srcDir string) (string, string) {
+	if _, ok := s.pkgs[path]; !ok && strings.HasPrefix(srcDir, s.src+string(filepath.Separator)) {
+		if _, ok := s.pkgs["vendor/"+path]; ok {
+			path = "vendor/" + path
+		} else if _, err := os.Stat(filepath.Join(s.src, filepath.FromSlash(path))); os.IsNotExist(err) {
+			path = "vendor/" + path
+		}
+	}
+	return path, filepath.Join(s.src, filepath.FromSlash(path))
+}
+
+// ImportFrom implements types.ImporterFrom. A memoized package is
 // returned without touching the file system.
 func (s *stdImporter) ImportFrom(path, srcDir string, _ types.ImportMode) (*types.Package, error) {
 	if path == "unsafe" {
 		return types.Unsafe, nil
 	}
-	inGoroot := strings.HasPrefix(srcDir, s.src+string(filepath.Separator))
-	pkg, ok := s.pkgs[path]
-	if !ok && inGoroot {
-		pkg, ok = s.pkgs["vendor/"+path]
-	}
-	if ok {
+	path, dir := s.resolve(path, srcDir)
+	if pkg, ok := s.pkgs[path]; ok {
 		if pkg == nil {
 			return nil, fmt.Errorf("analysis: import cycle through %s", path)
 		}
 		return pkg, nil
 	}
-	dir := filepath.Join(s.src, filepath.FromSlash(path))
-	if _, err := os.Stat(dir); os.IsNotExist(err) && inGoroot {
-		path = "vendor/" + path
-		dir = filepath.Join(s.src, filepath.FromSlash(path))
-	}
-	names, srcs, err := s.files(dir)
+	names, srcs, err := s.files(dir, 0)
 	if err != nil {
 		return nil, fmt.Errorf("analysis: import %s: %w", path, err)
 	}
@@ -90,9 +98,13 @@ func (s *stdImporter) ImportFrom(path, srcDir string, _ types.ImportMode) (*type
 		}
 		files = append(files, f)
 	}
+	imp, err := s.declImporter(files, dir)
+	if err != nil {
+		return nil, fmt.Errorf("analysis: import %s: %w", path, err)
+	}
 	s.pkgs[path] = nil // in progress: a re-import is a cycle
-	conf := types.Config{Importer: s, IgnoreFuncBodies: true, Sizes: s.sizes}
-	pkg, err = conf.Check(path, s.fset, files, nil)
+	conf := types.Config{Importer: imp, IgnoreFuncBodies: true, Sizes: s.sizes}
+	pkg, err := conf.Check(path, s.fset, files, nil)
 	if err != nil {
 		delete(s.pkgs, path)
 		return nil, fmt.Errorf("analysis: typecheck %s: %w", path, err)
@@ -101,11 +113,112 @@ func (s *stdImporter) ImportFrom(path, srcDir string, _ types.ImportMode) (*type
 	return pkg, nil
 }
 
+// declImporter imports what the declarations of one blanked package
+// need. With function bodies blanked and ignored, a declaration can
+// reach another package only through a qualified identifier p.X or a
+// dot import, so an import is real when it is a dot import or its
+// local name qualifies an identifier somewhere in files. Every other
+// import gets a stub: a complete package with the real name and an
+// empty scope, made afresh for each check and never memoized, so a
+// package that module code imports is still loaded in full. A
+// reference the scan missed fails the check with "undefined: p.X"
+// against the stub; it cannot change a type. The type checker skips
+// its unused-import check under IgnoreFuncBodies, so a real import
+// that turns out unused is no error either.
+type declImporter struct {
+	s    *stdImporter
+	used map[string]bool // import paths, as written, to import for real
+}
+
+func (s *stdImporter) declImporter(files []*ast.File, dir string) (declImporter, error) {
+	quals := map[string]bool{}
+	for _, f := range files {
+		for _, d := range f.Decls {
+			ast.Inspect(d, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok {
+					if x, ok := sel.X.(*ast.Ident); ok {
+						quals[x.Name] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	used := map[string]bool{"unsafe": true}
+	for _, f := range files {
+		for _, spec := range f.Imports {
+			path, err := strconv.Unquote(spec.Path.Value)
+			if err != nil {
+				return declImporter{}, err
+			}
+			var name string
+			switch {
+			case used[path]:
+				continue
+			case spec.Name != nil:
+				name = spec.Name.Name
+			default:
+				if name, err = s.name(s.resolve(path, dir)); err != nil {
+					return declImporter{}, err
+				}
+			}
+			used[path] = name == "." || quals[name]
+		}
+	}
+	return declImporter{s, used}, nil
+}
+
+// Import implements types.Importer.
+func (d declImporter) Import(path string) (*types.Package, error) {
+	return d.ImportFrom(path, "", 0)
+}
+
+// ImportFrom implements types.ImporterFrom.
+func (d declImporter) ImportFrom(path, srcDir string, mode types.ImportMode) (*types.Package, error) {
+	if d.used[path] {
+		return d.s.ImportFrom(path, srcDir, mode)
+	}
+	path, dir := d.s.resolve(path, srcDir)
+	name, err := d.s.name(path, dir)
+	if err != nil {
+		return nil, err
+	}
+	pkg := types.NewPackage(path, name)
+	pkg.MarkComplete()
+	return pkg, nil
+}
+
+// name returns the name of the package that resolve placed at path
+// and dir: a loaded package's own, or else the package clause of the
+// first file the build selects.
+func (s *stdImporter) name(path, dir string) (string, error) {
+	if pkg := s.pkgs[path]; pkg != nil {
+		return pkg.Name(), nil
+	}
+	if name, ok := s.names[path]; ok {
+		return name, nil
+	}
+	names, srcs, err := s.files(dir, 1)
+	if err != nil {
+		return "", fmt.Errorf("import %s: %w", path, err)
+	}
+	if len(names) == 0 {
+		return "", fmt.Errorf("import %s: no buildable Go files in %s", path, dir)
+	}
+	f, err := parser.ParseFile(token.NewFileSet(), names[0], srcs[0], parser.PackageClauseOnly)
+	if err != nil {
+		return "", err
+	}
+	s.names[path] = f.Name.Name
+	return f.Name.Name, nil
+}
+
 // files lists the Go files in dir that the build selects, in directory
-// order, with their contents. build.Context.MatchFile reads a file's
-// header through OpenFile, which reads the whole file once and keeps it
-// for the parser.
-func (s *stdImporter) files(dir string) ([]string, [][]byte, error) {
+// order, with their contents: all of them, or the first limit if limit
+// is positive. build.Context.MatchFile reads a file's header through
+// OpenFile, which reads the whole file once and keeps it for the
+// parser.
+func (s *stdImporter) files(dir string, limit int) ([]string, [][]byte, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, nil, err
@@ -131,6 +244,9 @@ func (s *stdImporter) files(dir string) ([]string, [][]byte, error) {
 		if ok {
 			names = append(names, name)
 			srcs = append(srcs, src)
+			if len(names) == limit {
+				break
+			}
 		}
 	}
 	return names, srcs, nil

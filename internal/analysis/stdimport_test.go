@@ -17,41 +17,85 @@ import (
 	"unicode/utf8"
 )
 
-// stdPackages returns the standard-library import paths, vendored ones
-// under their "vendor/" path, that loading the given module packages
-// with a fresh loader reaches.
-func stdPackages(t *testing.T, l *Loader, paths ...string) []string {
+// stdPackages returns the standard-library closure of every module
+// package as go/build computes it, vendored packages under their
+// "vendor/" path, and imports each of them explicitly with the
+// loader's importer. Loading the module itself would not do: an import
+// that no declaration names is stubbed, so loading reaches only part
+// of the closure.
+func stdPackages(t *testing.T, l *Loader) []string {
 	t.Helper()
-	for _, path := range paths {
-		if _, err := l.Load(path); err != nil {
-			t.Fatalf("Load(%s): %v", path, err)
+	paths, err := l.ModulePackages()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	var queue []*build.Package
+	visit := func(imports []string, srcDir string) {
+		for _, path := range imports {
+			if path == "unsafe" || path == l.ModulePath() || strings.HasPrefix(path, l.ModulePath()+"/") {
+				continue
+			}
+			bp, err := l.std.ctxt.Import(path, srcDir, 0)
+			if err != nil {
+				t.Fatalf("go/build: %s: %v", path, err)
+			}
+			if !seen[bp.ImportPath] {
+				seen[bp.ImportPath] = true
+				queue = append(queue, bp)
+			}
 		}
 	}
-	var std []string
+	for _, path := range paths {
+		dir := filepath.Join(l.ModuleRoot(), strings.TrimPrefix(strings.TrimPrefix(path, l.ModulePath()), "/"))
+		bp, err := l.std.ctxt.ImportDir(dir, 0)
+		if err != nil {
+			t.Fatalf("go/build: %s: %v", path, err)
+		}
+		visit(bp.Imports, dir)
+	}
+	for len(queue) > 0 {
+		bp := queue[0]
+		queue = queue[1:]
+		visit(bp.Imports, bp.Dir)
+	}
+	std := make([]string, 0, len(seen))
+	vendored := 0
+	for path := range seen {
+		std = append(std, path)
+		if strings.HasPrefix(path, "vendor/") {
+			vendored++
+		}
+	}
+	sort.Strings(std)
+	for _, path := range std {
+		pkg, err := l.std.Import(path)
+		if err != nil {
+			t.Fatalf("import %s: %v", path, err)
+		}
+		if pkg.Path() != path {
+			t.Fatalf("import %s gave %s", path, pkg.Path())
+		}
+	}
 	for path, pkg := range l.std.pkgs {
 		if pkg == nil {
 			t.Fatalf("%s left marked in progress", path)
 		}
-		std = append(std, path)
 	}
-	sort.Strings(std)
+	t.Logf("standard-library closure: %d packages, %d of them vendored", len(std), vendored)
 	return std
 }
 
-// TestStdImporterFilesMatchBuild: for every standard-library package
-// the module reaches, the importer reads exactly the files go/build
-// selects as GoFiles under the same context.
+// TestStdImporterFilesMatchBuild: for every package in the module's
+// standard-library closure, the importer reads exactly the files
+// go/build selects as GoFiles under the same context.
 func TestStdImporterFilesMatchBuild(t *testing.T) {
 	l, err := NewLoader(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	paths, err := l.ModulePackages()
-	if err != nil {
-		t.Fatal(err)
-	}
-	std := stdPackages(t, l, paths...)
-	if len(std) < 60 {
+	std := stdPackages(t, l)
+	if len(std) < 150 {
 		t.Fatalf("module reaches only %d standard-library packages: %v", len(std), std)
 	}
 	for _, path := range std {
@@ -60,7 +104,7 @@ func TestStdImporterFilesMatchBuild(t *testing.T) {
 			t.Errorf("go/build: %s: %v", path, err)
 			continue
 		}
-		got, _, err := l.std.files(bp.Dir)
+		got, _, err := l.std.files(bp.Dir, 0)
 		if err != nil {
 			t.Errorf("%s: %v", path, err)
 			continue
@@ -115,9 +159,11 @@ func missing(a, b []string) []string {
 // TestStdImporterMatchesSourceImporter: over the standard-library
 // closure of the whole module, every package-level declaration the
 // importer produces renders exactly as go/importer's source importer
-// renders it, constant values and methods included. The source
-// importer reads build.Default, so cgo is turned off there too: it
-// then selects the same pure-Go files and runs no cgo.
+// renders it, constant values and methods included. Every stub the
+// importer handed out for an import no declaration names is complete,
+// empty and named as the source importer names that package. The
+// source importer reads build.Default, so cgo is turned off there too:
+// it then selects the same pure-Go files and runs no cgo.
 func TestStdImporterMatchesSourceImporter(t *testing.T) {
 	cgo := build.Default.CgoEnabled
 	build.Default.CgoEnabled = false
@@ -126,13 +172,9 @@ func TestStdImporterMatchesSourceImporter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	paths, err := l.ModulePackages()
-	if err != nil {
-		t.Fatal(err)
-	}
-	std := stdPackages(t, l, paths...)
+	std := stdPackages(t, l)
 	oracle := importer.ForCompiler(token.NewFileSet(), "source", nil)
-	objs := 0
+	objs, stubs := 0, 0
 	for _, path := range std {
 		ref, err := oracle.Import(path)
 		if err != nil {
@@ -141,13 +183,72 @@ func TestStdImporterMatchesSourceImporter(t *testing.T) {
 		if ref.Path() != path {
 			t.Fatalf("source importer resolved %s to %s", path, ref.Path())
 		}
-		got, want := objects(l.std.pkgs[path]), objects(ref)
+		pkg := l.std.pkgs[path]
+		got, want := objects(pkg), objects(ref)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: declarations differ:\nonly here: %v\nonly in the source importer: %v", path, missing(got, want), missing(want, got))
 		}
 		objs += len(got)
+		for _, imp := range pkg.Imports() {
+			if imp == l.std.pkgs[imp.Path()] || imp == types.Unsafe {
+				continue
+			}
+			stubs++
+			ref, err := oracle.Import(imp.Path())
+			if err != nil {
+				t.Fatalf("source importer: %s: %v", imp.Path(), err)
+			}
+			if imp.Name() != ref.Name() || !imp.Complete() || imp.Scope().Len() != 0 {
+				t.Errorf("%s: stub for %s is named %q (complete %v, %d objects), want %q, complete and empty",
+					path, imp.Path(), imp.Name(), imp.Complete(), imp.Scope().Len(), ref.Name())
+			}
+		}
 	}
-	t.Logf("%d packages, %d declarations", len(std), objs)
+	if stubs == 0 {
+		t.Fatal("no import was stubbed; the stub checks prove nothing")
+	}
+	t.Logf("%d packages, %d declarations, %d stubbed imports", len(std), objs, stubs)
+}
+
+// TestLoadImportsOnlyDeclared: the NAS models package reaches the
+// runtime, os and syscall packages only through function bodies, so
+// loading it type-checks none of them. The module packages behind
+// internal/service that import os themselves still get the real
+// package from the same loader afterwards.
+func TestLoadImportsOnlyDeclared(t *testing.T) {
+	l, err := NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Load(l.ModulePath() + "/internal/nas"); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"runtime", "os", "syscall"} {
+		if _, ok := l.std.pkgs[path]; ok {
+			t.Errorf("loading internal/nas type-checked %s", path)
+		}
+	}
+	if _, err := l.Load(l.ModulePath() + "/internal/service"); err != nil {
+		t.Fatal(err)
+	}
+	os := l.std.pkgs["os"]
+	if os == nil || os.Scope().Lookup("ReadFile") == nil {
+		t.Fatalf("loading internal/service left os %v", os)
+	}
+	users := 0
+	for path, pkg := range l.pkgs {
+		for _, imp := range pkg.Types.Imports() {
+			if imp.Path() == "os" {
+				users++
+				if imp != os {
+					t.Errorf("%s got an os package with %d objects, not the loaded one", path, imp.Scope().Len())
+				}
+			}
+		}
+	}
+	if users == 0 {
+		t.Fatal("no module package internal/service reaches imports os; the test proves nothing")
+	}
 }
 
 // TestLoadStartsNoSubprocess: the service package reaches net, which

@@ -9,9 +9,9 @@ import (
 
 // benchPost issues one predict request and fails the benchmark on any
 // non-200.
-func benchPost(b *testing.B, url string) {
+func benchPost(b *testing.B, url, body string) {
 	b.Helper()
-	resp, err := http.Post(url+"/predict", "application/json", strings.NewReader(predictBody))
+	resp, err := http.Post(url+"/predict", "application/json", strings.NewReader(body))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -29,7 +29,24 @@ func BenchmarkServiceCold(b *testing.B) {
 		b.StopTimer()
 		ts := httptest.NewServer(New(Config{Workers: 2}))
 		b.StartTimer()
-		benchPost(b, ts.URL)
+		benchPost(b, ts.URL, predictBody)
+		b.StopTimer()
+		ts.Close()
+		b.StartTimer()
+	}
+}
+
+// BenchmarkServiceStaticCold measures a static request on a fresh
+// server: the cold load and type check of the NAS models package and
+// the standard library it reaches, static synthesis, and the skeleton
+// simulations. Static requests bypass the body cache and build a fresh
+// loader, so this is also what every repeat of the request costs.
+func BenchmarkServiceStaticCold(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		ts := httptest.NewServer(New(Config{Workers: 2}))
+		b.StartTimer()
+		benchPost(b, ts.URL, staticPredictBody)
 		b.StopTimer()
 		ts.Close()
 		b.StartTimer()
@@ -42,10 +59,10 @@ func BenchmarkServiceCold(b *testing.B) {
 func BenchmarkServiceWarm(b *testing.B) {
 	ts := httptest.NewServer(New(Config{Workers: 2}))
 	defer ts.Close()
-	benchPost(b, ts.URL) // prime
+	benchPost(b, ts.URL, predictBody) // prime
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchPost(b, ts.URL)
+		benchPost(b, ts.URL, predictBody)
 	}
 }
 
@@ -54,11 +71,11 @@ func BenchmarkServiceWarm(b *testing.B) {
 func BenchmarkServiceWarmParallel(b *testing.B) {
 	ts := httptest.NewServer(New(Config{Workers: 2}))
 	defer ts.Close()
-	benchPost(b, ts.URL) // prime
+	benchPost(b, ts.URL, predictBody) // prime
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			benchPost(b, ts.URL)
+			benchPost(b, ts.URL, predictBody)
 		}
 	})
 }

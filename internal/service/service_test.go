@@ -28,6 +28,10 @@ import (
 // (dedicated app, dedicated skeleton, skeleton under the scenario).
 const predictBody = `{"app":"CG","class":"S","ranks":4,"scenario":"cpu-one-node","k":8}`
 
+// staticPredictBody is predictBody answered without a trace: the
+// skeleton comes from a static synthesis of the NAS models package.
+const staticPredictBody = `{"app":"CG","class":"S","ranks":4,"scenario":"cpu-one-node","k":8,"source_pkg":"perfskel/internal/nas"}`
+
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	s := New(cfg)
@@ -420,7 +424,7 @@ func waitFor(t *testing.T, cond func() bool, what string) {
 // miss with a byte-identical body. A target-time request derives K from
 // that same modeled time.
 func TestStaticPredict(t *testing.T) {
-	const body = `{"app":"CG","class":"S","ranks":4,"scenario":"cpu-one-node","k":8,"source_pkg":"perfskel/internal/nas"}`
+	const body = staticPredictBody
 	_, ts := newTestServer(t, Config{Workers: 2})
 	r1, cold := post(t, ts, body)
 	if r1.StatusCode != http.StatusOK {

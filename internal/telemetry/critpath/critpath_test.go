@@ -2,6 +2,8 @@ package critpath_test
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 	"testing"
 
 	"perfskel/internal/cluster"
@@ -148,11 +150,7 @@ func TestWhatIfMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sel := range []string{
-		"compute", "transfer", "blocked",
-		"compute:rank=0", "transfer:node=0", "blocked:rank=1",
-		"compute:op=Allreduce", "transfer:link=0-1",
-	} {
+	for _, sel := range goodSelectors {
 		cl, err := critpath.ParseClass(sel)
 		if err != nil {
 			t.Fatal(err)
@@ -236,11 +234,22 @@ func TestSlowLinkWhatIfMatchesResim(t *testing.T) {
 	}
 }
 
+// goodSelectors covers every kind and every selector key.
+var goodSelectors = []string{
+	"compute", "transfer", "blocked",
+	"compute:rank=0", "transfer:node=0", "blocked:rank=1",
+	"compute:op=Allreduce", "transfer:link=0-1",
+}
+
+var badSelectors = []string{
+	"", "cache", "compute:rank=x", "compute:rank=-1", "transfer:op=Send",
+	"compute:node=0", "transfer:link=3", "blocked:foo=1", "compute:rank",
+}
+
+var badSpecs = []string{"compute@-2", "compute@NaN", "compute@+Inf", "compute@-Inf", "compute@", "compute@x"}
+
 func TestParseClassErrors(t *testing.T) {
-	for _, bad := range []string{
-		"", "cache", "compute:rank=x", "compute:rank=-1", "transfer:op=Send",
-		"compute:node=0", "transfer:link=3", "blocked:foo=1", "compute:rank",
-	} {
+	for _, bad := range badSelectors {
 		if _, err := critpath.ParseClass(bad); err == nil {
 			t.Errorf("ParseClass(%q) accepted an invalid selector", bad)
 		}
@@ -262,9 +271,41 @@ func TestParseClassErrors(t *testing.T) {
 	if sp, _ := critpath.ParseSpec("compute"); sp.Factor != 0.5 {
 		t.Errorf("default factor = %g, want 0.5", sp.Factor)
 	}
-	if _, err := critpath.ParseSpec("compute@-2"); err == nil {
-		t.Error("negative factor accepted")
+	for _, bad := range badSpecs {
+		if sp, err := critpath.ParseSpec(bad); err == nil {
+			t.Errorf("ParseSpec(%q) accepted an invalid factor: %+v", bad, sp)
+		}
 	}
+}
+
+// FuzzParseSpec: the what-if grammar never panics, an accepted spec
+// has a finite non-negative factor, and printing it in canonical form
+// and parsing that again gives the same spec.
+func FuzzParseSpec(f *testing.F) {
+	for _, sel := range append(goodSelectors, "transfer:rank=1,phase=2,node=0,link=0-1", "compute:rank=2") {
+		f.Add(sel)
+		f.Add(sel + "@0.25")
+	}
+	for _, s := range append(badSelectors, badSpecs...) {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		sp, err := critpath.ParseSpec(s)
+		if err != nil {
+			return
+		}
+		if sp.Factor < 0 || math.IsNaN(sp.Factor) || math.IsInf(sp.Factor, 0) {
+			t.Fatalf("ParseSpec(%q) accepted factor %g", s, sp.Factor)
+		}
+		canon := sp.Class.String() + "@" + strconv.FormatFloat(sp.Factor, 'g', -1, 64)
+		again, err := critpath.ParseSpec(canon)
+		if err != nil {
+			t.Fatalf("ParseSpec(%q) = %+v, but its canonical form %q fails: %v", s, sp, canon, err)
+		}
+		if again != sp {
+			t.Fatalf("ParseSpec(%q) = %+v, but its canonical form %q gives %+v", s, sp, canon, again)
+		}
+	})
 }
 
 func TestOutputsByteDeterministic(t *testing.T) {

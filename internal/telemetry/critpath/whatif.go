@@ -2,6 +2,7 @@ package critpath
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -131,7 +132,7 @@ type WhatIfSpec struct {
 }
 
 // ParseSpec parses "class" or "class@factor"; the factor defaults to
-// 0.5 (a 2x virtual speedup).
+// 0.5 (a 2x virtual speedup) and must be finite and non-negative.
 func ParseSpec(s string) (WhatIfSpec, error) {
 	sel, fs, hasF := strings.Cut(s, "@")
 	cl, err := ParseClass(sel)
@@ -141,8 +142,8 @@ func ParseSpec(s string) (WhatIfSpec, error) {
 	f := 0.5
 	if hasF {
 		f, err = strconv.ParseFloat(fs, 64)
-		if err != nil || f < 0 {
-			return WhatIfSpec{}, fmt.Errorf("critpath: what-if factor must be a non-negative number, got %q", fs)
+		if err != nil || f < 0 || math.IsNaN(f) || math.IsInf(f, 0) {
+			return WhatIfSpec{}, fmt.Errorf("critpath: what-if factor must be a finite non-negative number, got %q", fs)
 		}
 	}
 	return WhatIfSpec{Class: cl, Factor: f}, nil

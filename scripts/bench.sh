@@ -53,9 +53,9 @@ go test -run '^$' -bench 'BenchmarkConstruct(Scale|KSweep)$' \
 reduce construct "skeleton.BuildFromTrace at K=8 on an LU class S 64-rank trace; K=2,4,8,16,32 from one ladder of the same trace"
 
 echo "==> analysis (count=$count)"
-go test -run '^$' -bench 'BenchmarkAnalysis(LoopFree|Symexec|LoadCold)$|BenchmarkOrderflow(Summaries|SelfModule)$' \
+go test -run '^$' -bench 'BenchmarkAnalysis(LoopFree|Symexec|LoadCold)$|BenchmarkOrderflow(Summaries|Corpus)$' \
     -benchmem -count "$count" "$@" ./internal/analysis/ > "$raw/analysis.txt" || fail analysis
-reduce analysis "commgraph extract+match of a 200-iteration ring, unrolled and as a folded loop; cold load of internal/nas; orderflow summaries of internal/telemetry and over the whole module"
+reduce analysis "commgraph extract+match of a 200-iteration ring, unrolled and as a folded loop; cold load of internal/nas; orderflow summaries of internal/telemetry, and the orderflow rule over frozen copies of internal/telemetry and internal/stats"
 
 echo "==> campaign (count=$count)"
 go test -run '^$' -bench 'BenchmarkCampaign(Serial|Parallel|WarmCache)$' \
@@ -73,6 +73,6 @@ go test -run '^$' -bench 'BenchmarkStatic(ExtractCold|InstantiateMemoized)$' \
 reduce staticsig "static synthesis of CG class S on 4 ranks: cold extraction and memoized re-instantiation"
 
 echo "==> service (count=$count)"
-go test -run '^$' -bench 'BenchmarkService(Cold|Warm|WarmParallel)$' \
+go test -run '^$' -bench 'BenchmarkService(Cold|StaticCold|Warm|WarmParallel)$' \
     -benchmem -count "$count" "$@" ./internal/service/ > "$raw/service.txt" || fail service
-reduce service "skeletond POST /predict, CG class S, 4 ranks, cpu-one-node, K=8: cold, warm cache hit, warm under client concurrency"
+reduce service "skeletond POST /predict, CG class S, 4 ranks, cpu-one-node, K=8: cold, static from source_pkg internal/nas on a fresh server (cold load included), warm cache hit, warm under client concurrency"
