@@ -82,7 +82,7 @@ func (s *stdImporter) ImportFrom(path, srcDir string, _ types.ImportMode) (*type
 		}
 		return pkg, nil
 	}
-	names, srcs, err := s.files(dir, 0)
+	names, srcs, err := s.files(dir)
 	if err != nil {
 		return nil, fmt.Errorf("analysis: import %s: %w", path, err)
 	}
@@ -190,7 +190,10 @@ func (d declImporter) ImportFrom(path, srcDir string, mode types.ImportMode) (*t
 
 // name returns the name of the package that resolve placed at path
 // and dir: a loaded package's own, or else the package clause of the
-// first file the build selects.
+// first file the build selects. Every buildable file of a package has
+// the same clause, so the directory is scanned in its stored order, not
+// sorted, and stops at that file, of which only the header that
+// build.Context.MatchFile reads (through the imports) is read.
 func (s *stdImporter) name(path, dir string) (string, error) {
 	if pkg := s.pkgs[path]; pkg != nil {
 		return pkg.Name(), nil
@@ -198,27 +201,59 @@ func (s *stdImporter) name(path, dir string) (string, error) {
 	if name, ok := s.names[path]; ok {
 		return name, nil
 	}
-	names, srcs, err := s.files(dir, 1)
+	d, err := os.Open(dir)
 	if err != nil {
 		return "", fmt.Errorf("import %s: %w", path, err)
 	}
-	if len(names) == 0 {
-		return "", fmt.Errorf("import %s: no buildable Go files in %s", path, dir)
+	defer d.Close()
+	var head bytes.Buffer
+	ctxt := s.ctxt
+	ctxt.OpenFile = func(path string) (io.ReadCloser, error) {
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, err
+		}
+		head.Reset()
+		return struct {
+			io.Reader
+			io.Closer
+		}{io.TeeReader(f, &head), f}, nil
 	}
-	f, err := parser.ParseFile(token.NewFileSet(), names[0], srcs[0], parser.PackageClauseOnly)
-	if err != nil {
-		return "", err
+	for {
+		entries, err := d.ReadDir(32)
+		for _, e := range entries {
+			name := e.Name()
+			if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+				continue
+			}
+			ok, err := ctxt.MatchFile(dir, name)
+			if err != nil {
+				return "", err
+			}
+			if !ok {
+				continue
+			}
+			f, err := parser.ParseFile(token.NewFileSet(), name, head.Bytes(), parser.PackageClauseOnly)
+			if err != nil {
+				return "", err
+			}
+			s.names[path] = f.Name.Name
+			return f.Name.Name, nil
+		}
+		if err == io.EOF {
+			return "", fmt.Errorf("import %s: no buildable Go files in %s", path, dir)
+		}
+		if err != nil {
+			return "", fmt.Errorf("import %s: %w", path, err)
+		}
 	}
-	s.names[path] = f.Name.Name
-	return f.Name.Name, nil
 }
 
 // files lists the Go files in dir that the build selects, in directory
-// order, with their contents: all of them, or the first limit if limit
-// is positive. build.Context.MatchFile reads a file's header through
-// OpenFile, which reads the whole file once and keeps it for the
-// parser.
-func (s *stdImporter) files(dir string, limit int) ([]string, [][]byte, error) {
+// order, with their contents. build.Context.MatchFile reads a file's
+// header through OpenFile, which reads the whole file once and keeps it
+// for the parser.
+func (s *stdImporter) files(dir string) ([]string, [][]byte, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, nil, err
@@ -244,9 +279,6 @@ func (s *stdImporter) files(dir string, limit int) ([]string, [][]byte, error) {
 		if ok {
 			names = append(names, name)
 			srcs = append(srcs, src)
-			if len(names) == limit {
-				break
-			}
 		}
 	}
 	return names, srcs, nil

@@ -104,7 +104,7 @@ func TestStdImporterFilesMatchBuild(t *testing.T) {
 			t.Errorf("go/build: %s: %v", path, err)
 			continue
 		}
-		got, _, err := l.std.files(bp.Dir, 0)
+		got, _, err := l.std.files(bp.Dir)
 		if err != nil {
 			t.Errorf("%s: %v", path, err)
 			continue

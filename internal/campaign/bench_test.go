@@ -70,3 +70,38 @@ func BenchmarkCampaignWarmCache(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCampaignRetained reports the heap a campaign engine keeps
+// after a grid shaped like skeletond's serve-mix request universe: the
+// eight NAS benchmarks at class S on 4, 8 and 16 ranks, the five sharing
+// scenarios, K in {2, 4, 8, 16, 32}, on one engine. retained-MB is
+// HeapAlloc after a forced collection with the engine still reachable.
+func BenchmarkCampaignRetained(b *testing.B) {
+	var apps []App
+	for _, name := range []string{"BT", "CG", "EP", "FT", "IS", "LU", "MG", "SP"} {
+		app, err := NASApp(name, nas.ClassS)
+		if err != nil {
+			b.Fatal(err)
+		}
+		apps = append(apps, app)
+	}
+	b.ReportAllocs()
+	var retained float64
+	for i := 0; i < b.N; i++ {
+		eng := New(Config{})
+		for _, p := range []int{4, 8, 16} {
+			g := Grid{Apps: apps, NRanks: p, Ks: []int{2, 4, 8, 16, 32}}
+			if _, err := eng.PredictAll(g); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		retained += float64(ms.HeapAlloc) / 1e6
+		runtime.KeepAlive(eng)
+		b.StartTimer()
+	}
+	b.ReportMetric(retained/float64(b.N), "retained-MB")
+}

@@ -18,20 +18,22 @@ import (
 )
 
 // cellValue is what one cache cell holds. Run cells carry a time and,
-// unless they are measured application runs, the trace statistics;
-// build cells carry the constructed program and its signature; ladder
-// cells carry a dedicated trace's threshold ladder.
-// The trace, the ladder and the telemetry collector are memory-only:
-// the first two are large and reconstructible, and a collector only
-// describes a simulation this process actually executed.
+// unless they are measured application runs, the trace statistics; the
+// dedicated run of a traced app also carries its trace's threshold
+// ladder, or the error NewLadder returned for the trace, which skeleton
+// builds report. Build cells carry the constructed program and its
+// signature. No cell keeps a trace. The ladder and the telemetry
+// collector are memory-only: a ladder is large and reconstructible, and
+// a collector only describes a simulation this process actually
+// executed.
 type cellValue struct {
-	time   float64
-	stats  *trace.Stats
-	prog   *skeleton.Program
-	sig    *signature.Signature
-	trace  *trace.Trace
-	ladder *signature.Ladder
-	tel    *telemetry.Collector
+	time      float64
+	stats     *trace.Stats
+	prog      *skeleton.Program
+	sig       *signature.Signature
+	ladder    *signature.Ladder
+	ladderErr error
+	tel       *telemetry.Collector
 }
 
 // diskEntry is a cell's persistent form. Program and Signature embed the
@@ -50,7 +52,7 @@ type diskEntry struct {
 type cellKind uint8
 
 const (
-	memOnly   cellKind = iota // trace and ladder cells
+	memOnly   cellKind = iota // the ladder of a dedicated run served from disk
 	timedRun                  // a measured application run: its time alone
 	statsRun                  // a dedicated or skeleton run: time and Stats
 	buildCell                 // a skeleton construction: program and signature

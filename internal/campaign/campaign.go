@@ -186,8 +186,8 @@ func (e *Engine) acquire(ctx context.Context) error {
 func (e *Engine) release() { <-e.sem }
 
 // dedicatedCanon is the canonical form of the unshared baseline scenario;
-// app-run cells matching it keep their trace in memory for skeleton
-// construction.
+// app-run cells matching it keep their trace's ladder in memory for
+// skeleton construction.
 var dedicatedCanon = func() string {
 	c, err := cluster.CanonScenario(cluster.Dedicated())
 	if err != nil {
@@ -292,7 +292,11 @@ func (e *Engine) ConstructContext(ctx context.Context, c Cell) (*skeleton.Progra
 	return v.prog, v.sig, nil
 }
 
-// Stats returns the cache counters accumulated so far.
+// Stats returns the cache counters accumulated so far. A skeleton build
+// takes its trace's ladder from the dedicated application run cell, so
+// each build that is not itself a hit counts one hit or miss on that run
+// cell, plus one on the memory-only ladder cell when the run was served
+// from disk.
 func (e *Engine) Stats() Stats { return e.memo.snapshot() }
 
 // newProbe returns a fresh collector when telemetry is on.
@@ -306,12 +310,13 @@ func (e *Engine) newProbe() (*telemetry.Collector, telemetry.Sink, mpi.Config) {
 	return col, col, cfg
 }
 
-// appRun memoizes one application execution. Dedicated runs of a
-// traced app keep their trace in memory so skeleton builds can reuse it
-// without re-simulating. A static app's skeletons build from its
-// signature, so its dedicated run records its statistics alone. A run
-// under any other scenario is the measured actual a prediction is checked
-// against: it is only timed, runs with no monitor and carries no Stats.
+// appRun memoizes one application execution. The dedicated run of a
+// traced app hands its trace to signature.NewLadder inside the cell and
+// keeps the ladder, never the trace, so skeleton builds reuse it without
+// re-simulating. A static app's skeletons build from its signature, so
+// its dedicated run records its statistics alone. A run under any other
+// scenario is the measured actual a prediction is checked against: it is
+// only timed, runs with no monitor and carries no Stats.
 func (e *Engine) appRun(ctx context.Context, c Cell, l labels) (cellValue, error) {
 	dedicated := l.sc == dedicatedCanon
 	kind := timedRun
@@ -335,17 +340,18 @@ func (e *Engine) appRun(ctx context.Context, c Cell, l labels) (cellValue, error
 		if err := e.acquire(ctx); err != nil {
 			return cellValue{}, err
 		}
+		defer e.release()
 		e.memo.stats.sims.Add(1)
 		dur, err := mpi.RunContext(ctx, cl, c.NRanks, cfg, mon, c.App.Fn)
-		e.release()
 		if err != nil {
 			return cellValue{}, fmt.Errorf("campaign: %s under %s: %w", c.App.ID, c.Scenario.Name, err)
 		}
 		v := cellValue{time: dur, tel: col}
 		if rec != nil {
-			v.trace = rec.Finish(dur)
-			st := v.trace.Stats()
+			tr := rec.Finish(dur)
+			st := tr.Stats()
 			v.stats = &st
+			v.ladder, v.ladderErr = signature.NewLadder(tr)
 		} else if srec != nil {
 			st := srec.Finish(dur)
 			v.stats = &st
@@ -354,63 +360,41 @@ func (e *Engine) appRun(ctx context.Context, c Cell, l labels) (cellValue, error
 	})
 }
 
-// ensureTrace returns the application's dedicated execution trace on the
-// cell's topology, re-simulating (memory-memoized) when the run cell was
-// satisfied from disk and so carries no trace.
-func (e *Engine) ensureTrace(ctx context.Context, c Cell) (*trace.Trace, float64, error) {
+// ladder returns the threshold ladder of the application's dedicated
+// trace on the cell's topology. Every K and every construction option
+// set builds from the one ladder, so each threshold step is clustered
+// and folded once per trace. The dedicated run cell keeps it; when that
+// cell was satisfied from disk it carries no ladder, and one
+// memory-only cell re-simulates the run to make it.
+func (e *Engine) ladder(ctx context.Context, c Cell) (*signature.Ladder, error) {
 	d := c
 	d.K = 0
 	d.Scenario = cluster.Dedicated()
 	l, err := e.labelsFor(d)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	v, err := e.appRun(ctx, d, l)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	if v.trace != nil {
-		return v.trace, v.time, nil
+	if v.ladder != nil || v.ladderErr != nil {
+		return v.ladder, v.ladderErr
 	}
-	v, err = e.memo.do(ctx, traceLabel(d, l), memOnly, false, func(ctx context.Context) (cellValue, error) {
+	v, err = e.memo.do(ctx, ladderLabel(d, l), memOnly, false, func(ctx context.Context) (cellValue, error) {
 		cl := cluster.Build(d.Topo, d.Scenario)
 		rec := trace.NewRecorder(d.NRanks)
 		if err := e.acquire(ctx); err != nil {
 			return cellValue{}, err
 		}
+		defer e.release()
 		e.memo.stats.sims.Add(1)
 		dur, err := mpi.RunContext(ctx, cl, d.NRanks, e.cfg.MPI, rec, d.App.Fn)
-		e.release()
 		if err != nil {
 			return cellValue{}, err
 		}
-		return cellValue{time: dur, trace: rec.Finish(dur)}, nil
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	return v.trace, v.time, nil
-}
-
-// ladder memoizes the threshold ladder of the application's dedicated
-// trace on the cell's topology. Every K and every construction option
-// set builds from the one ladder, so each threshold step is clustered
-// and folded once per trace. The ladder is memory-only, like the trace.
-func (e *Engine) ladder(ctx context.Context, c Cell, l labels) (*signature.Ladder, error) {
-	v, err := e.memo.do(ctx, ladderLabel(c, l), memOnly, false, func(ctx context.Context) (cellValue, error) {
-		tr, _, err := e.ensureTrace(ctx, c)
-		if err != nil {
-			return cellValue{}, err
-		}
-		if err := e.acquire(ctx); err != nil {
-			return cellValue{}, err
-		}
-		lad, err := signature.NewLadder(tr)
-		e.release()
-		if err != nil {
-			return cellValue{}, err
-		}
-		return cellValue{ladder: lad}, nil
+		lad, err := signature.NewLadder(rec.Finish(dur))
+		return cellValue{ladder: lad}, err
 	})
 	return v.ladder, err
 }
@@ -438,7 +422,7 @@ func (e *Engine) build(ctx context.Context, c Cell, l labels) (cellValue, error)
 		})
 	}
 	return e.memo.do(ctx, buildLabel(c, l, opts), buildCell, !e.cfg.Telemetry, func(ctx context.Context) (cellValue, error) {
-		lad, err := e.ladder(ctx, c, l)
+		lad, err := e.ladder(ctx, c)
 		if err != nil {
 			return cellValue{}, err
 		}

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
 	"perfskel/internal/cluster"
 	"perfskel/internal/mpi"
 	"perfskel/internal/skeleton"
+	"perfskel/internal/trace"
 )
 
 // testApp is a small deterministic iterative program: cheap enough that
@@ -268,8 +270,8 @@ func TestCampaignValidation(t *testing.T) {
 }
 
 // Every skeleton of one trace builds from one memoized ladder, whatever
-// its K, and only the dedicated application run keeps a trace: skeleton
-// runs and the other application runs record their statistics alone.
+// its K, kept by the dedicated application run cell; no cell reaches a
+// trace or a trace event once the grid is done.
 func TestOneLadderPerTrace(t *testing.T) {
 	eng := New(Config{Workers: 4})
 	g := testGrid(true)
@@ -279,19 +281,120 @@ func TestOneLadderPerTrace(t *testing.T) {
 	}
 	eng.memo.mu.Lock()
 	defer eng.memo.mu.Unlock()
-	ladders, traces := 0, 0
+	ladders := 0
 	for label, e := range eng.memo.entries {
 		if e.val.ladder != nil {
 			ladders++
-		}
-		if e.val.trace != nil {
-			traces++
 			if !strings.HasPrefix(label, "run|") || !strings.Contains(label, "|"+dedicatedCanon+"|") {
-				t.Errorf("%s keeps a trace", label)
+				t.Errorf("%s keeps a ladder", label)
+			}
+		}
+		if reachesTrace(reflect.ValueOf(e.val), map[uintptr]bool{}) {
+			t.Errorf("%s reaches a trace", label)
+		}
+	}
+	if ladders != 1 {
+		t.Errorf("%d ladders, want one", ladders)
+	}
+}
+
+// TestDiskServedRunStillBuilds: a dedicated run served from the disk
+// cache carries no ladder, so building a skeleton on it re-simulates the
+// run once, in memory, and yields the same program and signature bytes
+// as an engine that traced the run itself.
+func TestDiskServedRunStillBuilds(t *testing.T) {
+	dir := t.TempDir()
+	dedicated := Cell{App: testApp(), NRanks: 2, Scenario: cluster.Dedicated()}
+	if _, err := New(Config{CacheDir: dir}).Run(dedicated); err != nil {
+		t.Fatal(err)
+	}
+	build := dedicated
+	build.K = 4
+	encode := func(e *Engine) (prog, sig []byte) {
+		t.Helper()
+		p, s, err := e.Construct(build)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pb, sb bytes.Buffer
+		if err := p.Write(&pb); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Write(&sb); err != nil {
+			t.Fatal(err)
+		}
+		return pb.Bytes(), sb.Bytes()
+	}
+	warm := New(Config{CacheDir: dir})
+	if _, err := warm.Run(dedicated); err != nil {
+		t.Fatal(err)
+	}
+	gotProg, gotSig := encode(warm)
+	wantProg, wantSig := encode(New(Config{}))
+	if !bytes.Equal(gotProg, wantProg) || !bytes.Equal(gotSig, wantSig) {
+		t.Error("skeleton built on a disk-served dedicated run differs from a fresh engine's")
+	}
+	if st := warm.Stats(); st.DiskHits != 1 || st.Sims != 1 {
+		t.Errorf("warm engine: %d disk hits and %d sims, want 1 and 1 (the ladder's re-simulation)", st.DiskHits, st.Sims)
+	}
+	// A second K builds from the same memory-only ladder.
+	build.K = 8
+	if _, _, err := warm.Construct(build); err != nil {
+		t.Fatal(err)
+	}
+	if st := warm.Stats(); st.Sims != 1 {
+		t.Errorf("second build re-simulated: %d sims", st.Sims)
+	}
+	warm.memo.mu.Lock()
+	defer warm.memo.mu.Unlock()
+	for label, e := range warm.memo.entries {
+		if reachesTrace(reflect.ValueOf(e.val), map[uintptr]bool{}) {
+			t.Errorf("%s reaches a trace", label)
+		}
+	}
+}
+
+var traceTypes = map[reflect.Type]bool{
+	reflect.TypeOf(trace.Trace{}): true,
+	reflect.TypeOf(trace.Event{}): true,
+}
+
+// reachesTrace reports whether a trace, or any trace event, is reachable
+// from v through pointers, interfaces, structs, slices, arrays and maps.
+func reachesTrace(v reflect.Value, seen map[uintptr]bool) bool {
+	if traceTypes[v.Type()] {
+		return true
+	}
+	switch v.Kind() {
+	case reflect.Pointer:
+		if v.IsNil() || seen[v.Pointer()] {
+			return false
+		}
+		seen[v.Pointer()] = true
+		return reachesTrace(v.Elem(), seen)
+	case reflect.Interface:
+		return !v.IsNil() && reachesTrace(v.Elem(), seen)
+	case reflect.Struct:
+		for i := range v.NumField() {
+			if reachesTrace(v.Field(i), seen) {
+				return true
+			}
+		}
+	case reflect.Slice, reflect.Array:
+		if k := v.Type().Elem().Kind(); k <= reflect.Complex128 || k == reflect.String {
+			return false
+		}
+		for i := range v.Len() {
+			if reachesTrace(v.Index(i), seen) {
+				return true
+			}
+		}
+	case reflect.Map:
+		for it := v.MapRange(); it.Next(); {
+			if reachesTrace(it.Key(), seen) || reachesTrace(it.Value(), seen) {
+				return true
 			}
 		}
 	}
-	if ladders != 1 || traces != 1 {
-		t.Errorf("%d ladders and %d traces, want one of each", ladders, traces)
-	}
+	return false
 }

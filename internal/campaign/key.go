@@ -77,15 +77,9 @@ func appRunLabel(c Cell, l labels) string {
 	return fmt.Sprintf("run|app=%s|n=%d|%s|%s|%s", c.App.ID, c.NRanks, l.topo, l.sc, l.mpi)
 }
 
-// traceLabel identifies the memory-only re-execution of a dedicated
-// traced run (used when a disk hit satisfied the run cell but a skeleton
-// build still needs the trace itself).
-func traceLabel(c Cell, l labels) string {
-	return fmt.Sprintf("trace|app=%s|n=%d|%s|%s", c.App.ID, c.NRanks, l.topo, l.mpi)
-}
-
 // ladderLabel identifies the memory-only threshold ladder of a cell's
-// dedicated trace. Like traceLabel it carries no scenario, no K and no
+// dedicated trace, made by re-simulating the dedicated run when a disk
+// hit satisfied the run cell. It carries no scenario, no K and no
 // construction options: every skeleton of the trace builds from the one
 // ladder.
 func ladderLabel(c Cell, l labels) string {

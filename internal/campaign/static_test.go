@@ -95,7 +95,8 @@ func TestStaticCellValidation(t *testing.T) {
 
 // TestStaticAppRunKeepsNoTrace: a static app with a program body
 // records its dedicated run statistics-only, with the same statistics
-// as the traced app's dedicated run, which alone keeps a trace.
+// as the traced app's dedicated run, which alone keeps a ladder of its
+// trace.
 func TestStaticAppRunKeepsNoTrace(t *testing.T) {
 	e := New(Config{Workers: 1})
 	static := StaticApp(staticTestSig(t))
@@ -114,8 +115,8 @@ func TestStaticAppRunKeepsNoTrace(t *testing.T) {
 	e.memo.mu.Lock()
 	defer e.memo.mu.Unlock()
 	for label, en := range e.memo.entries {
-		if traced := en.val.trace != nil; traced != strings.Contains(label, "app="+testApp().ID+"|") {
-			t.Errorf("%s: keeps a trace: %v", label, traced)
+		if traced := en.val.ladder != nil; traced != strings.Contains(label, "app="+testApp().ID+"|") {
+			t.Errorf("%s: keeps a ladder: %v", label, traced)
 		}
 	}
 }

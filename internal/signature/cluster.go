@@ -77,12 +77,20 @@ func rangesOf(tr *trace.Trace) ranges {
 const durationNoise = 1e-9
 
 // item is one event occurrence in its hard-key bucket: where the event
-// sits in the trace and its primary soft value (compute duration or
-// message size). It is 16 bytes; a Sendrecv's receive size is read back
-// from the trace when a group is split on it.
+// sits in the trace, its primary soft value v1 (compute duration or
+// message size) and v2, the other of the two (a compute event's byte
+// count, a message's duration). It is 24 bytes; a second size (a
+// Sendrecv's receive size) is kept beside the bucket, see Builder.byte2.
 type item struct {
-	v1        float64
+	v1, v2    float64
 	rank, idx int32
+}
+
+// recvItem is an item with its second size, for a group whose bucket
+// has second sizes; a Sendrecv group is split again on them.
+type recvItem struct {
+	byte2 float64
+	it    item
 }
 
 // byValue orders items by soft value with the < relation. Trace
@@ -119,23 +127,28 @@ func byValueThenPosition(a, b item) int {
 // threshold then only splits the sorted buckets, in one linear pass, and
 // folds the per-rank streams.
 //
-// A Builder reads its trace on every call, so the trace must not change
-// while the Builder is in use, and a Builder is not safe for concurrent
-// use.
+// A Builder copies the per-event values clustering reads, so the trace
+// may be dropped or changed once NewBuilder returns. A Builder is not
+// safe for concurrent use.
 type Builder struct {
-	tr     *trace.Trace
-	events int
-	scale  ranges
-	keys   []hardKey // bucket keys in keyCmp order
-	ends   []int     // ends[i] is where bucket i ends in items
+	nranks  int
+	appTime float64
+	events  int
+	scale   ranges
+	keys    []hardKey // bucket keys in keyCmp order
+	ends    []int     // ends[i] is where bucket i ends in items
 	// items holds every event, bucket after bucket, each bucket stably
 	// sorted by soft value from rank-major event order.
 	items []item
+	// byte2[i] holds the second size of each of bucket i's items, in item
+	// order, when any event of the bucket has one (in practice only
+	// Sendrecv buckets); it is nil when all of them are zero.
+	byte2 [][]float64
 	// assign, scratch and fold are per-threshold buffers reused across
 	// thresholds: each event's cluster, a Sendrecv group being split on
 	// its receive size, and the folder's hash arrays.
 	assign  [][]*Cluster
-	scratch []item
+	scratch []recvItem
 	fold    folder
 }
 
@@ -149,13 +162,15 @@ func NewBuilder(tr *trace.Trace) (*Builder, error) {
 	if n == 0 {
 		return nil, ErrEmptyTrace
 	}
-	b := &Builder{tr: tr, events: n, scale: rangesOf(tr)}
+	b := &Builder{nranks: tr.NRanks, appTime: tr.AppTime, events: n, scale: rangesOf(tr)}
 
 	// Count pass: number the keys in order of first appearance and count
-	// each key's events, remembering every event's key number.
+	// each key's events, remembering every event's key number and which
+	// keys carry a second size.
 	ids := make(map[hardKey]int)
 	var keys []hardKey
 	var counts []int
+	var hasByte2 []bool
 	keyOfEvent := make([]int32, 0, n)
 	for _, evs := range tr.Events {
 		for _, e := range evs {
@@ -166,8 +181,10 @@ func NewBuilder(tr *trace.Trace) (*Builder, error) {
 				ids[k] = id
 				keys = append(keys, k)
 				counts = append(counts, 0)
+				hasByte2 = append(hasByte2, false)
 			}
 			counts[id]++
+			hasByte2[id] = hasByte2[id] || e.Byte2 != 0
 			keyOfEvent = append(keyOfEvent, int32(id))
 		}
 	}
@@ -195,19 +212,27 @@ func NewBuilder(tr *trace.Trace) (*Builder, error) {
 	for rank, evs := range tr.Events {
 		b.assign[rank] = make([]*Cluster, len(evs))
 		for idx, e := range evs {
-			v := float64(e.Bytes)
+			v1, v2 := float64(e.Bytes), e.Duration()
 			if e.IsCompute() {
-				v = e.Duration()
+				v1, v2 = v2, v1
 			}
 			id := keyOfEvent[j]
 			j++
-			b.items[next[id]] = item{v1: v, rank: int32(rank), idx: int32(idx)}
+			b.items[next[id]] = item{v1: v1, v2: v2, rank: int32(rank), idx: int32(idx)}
 			next[id]++
 		}
 	}
+	b.byte2 = make([][]float64, len(keys))
 	lo := 0
-	for _, hi := range b.ends {
-		slices.SortFunc(b.items[lo:hi], byValueThenPosition)
+	for i, hi := range b.ends {
+		bucket := b.items[lo:hi]
+		slices.SortFunc(bucket, byValueThenPosition)
+		if hasByte2[order[i]] {
+			b.byte2[i] = make([]float64, len(bucket))
+			for j, it := range bucket {
+				b.byte2[i][j] = float64(tr.Events[it.rank][it.idx].Byte2)
+			}
+		}
 		lo = hi
 	}
 	return b, nil
@@ -218,8 +243,8 @@ func NewBuilder(tr *trace.Trace) (*Builder, error) {
 func (b *Builder) At(threshold float64) *Signature {
 	clusters := b.cluster(threshold)
 	s := &Signature{
-		NRanks:      b.tr.NRanks,
-		AppTime:     b.tr.AppTime,
+		NRanks:      b.nranks,
+		AppTime:     b.appTime,
 		TraceEvents: b.events,
 		Clusters:    clusters,
 		Threshold:   threshold,
@@ -247,24 +272,29 @@ func (b *Builder) At(threshold float64) *Signature {
 // paper's "average event", accumulated in sorted order.
 func (b *Builder) cluster(threshold float64) []*Cluster {
 	var clusters []*Cluster
-	emit := func(k hardKey, members []item) {
+	open := func(k hardKey, members int) *Cluster {
 		c := &Cluster{
 			ID: len(clusters), Op: k.op, Sub: k.sub,
 			Peer: k.peer, Peer2: k.peer2, Tag: k.tag,
 		}
 		if k.op == mpi.OpCompute {
-			c.Durations = make([]float64, 0, len(members))
+			c.Durations = make([]float64, 0, members)
 		}
 		clusters = append(clusters, c)
-		for _, it := range members {
-			e := &b.tr.Events[it.rank][it.idx]
-			c.add(float64(e.Bytes), float64(e.Byte2), e.Duration())
-			b.assign[it.rank][it.idx] = c
+		return c
+	}
+	add := func(c *Cluster, it item, byte2 float64) {
+		if c.Op == mpi.OpCompute {
+			c.add(it.v2, byte2, it.v1)
+		} else {
+			c.add(it.v1, byte2, it.v2)
 		}
+		b.assign[it.rank][it.idx] = c
 	}
 	lo := 0
 	for i, k := range b.keys {
 		bucket := b.items[lo:b.ends[i]]
+		byte2 := b.byte2[i]
 		lo = b.ends[i]
 		scale, floor := b.scale.bytes, 0.5
 		if k.op == mpi.OpCompute {
@@ -274,21 +304,36 @@ func (b *Builder) cluster(threshold float64) []*Cluster {
 		for len(bucket) > 0 {
 			g := bucket[:gapEnd(bucket, maxGap)]
 			bucket = bucket[len(g):]
-			if k.op != mpi.OpSendrecv {
-				emit(k, g)
+			if byte2 == nil {
+				// No second sizes: the group is one cluster. (Splitting a
+				// Sendrecv group on all-zero receive sizes keeps it whole.)
+				c := open(k, len(g))
+				for _, it := range g {
+					add(c, it, 0)
+				}
 				continue
 			}
-			// Sendrecv events carry a second size; split each group again
-			// on it so receive sizes are bounded by the same threshold.
-			sub := append(b.scratch[:0], g...)
-			for j := range sub {
-				sub[j].v1 = float64(b.tr.Events[sub[j].rank][sub[j].idx].Byte2)
+			sub := b.scratch[:0]
+			for j, it := range g {
+				sub = append(sub, recvItem{byte2: byte2[j], it: it})
 			}
-			slices.SortStableFunc(sub, byValue)
+			byte2 = byte2[len(g):]
 			b.scratch = sub
+			if k.op == mpi.OpSendrecv {
+				// Sendrecv events carry a second size; split each group
+				// again on it so receive sizes are bounded by the same
+				// threshold.
+				slices.SortStableFunc(sub, func(x, y recvItem) int { return cmp.Compare(x.byte2, y.byte2) })
+			}
 			for len(sub) > 0 {
-				n := gapEnd(sub, maxGap)
-				emit(k, sub[:n])
+				n := len(sub)
+				if k.op == mpi.OpSendrecv {
+					n = recvGapEnd(sub, maxGap)
+				}
+				c := open(k, n)
+				for _, r := range sub[:n] {
+					add(c, r.it, r.byte2)
+				}
 				sub = sub[n:]
 			}
 		}
@@ -302,6 +347,16 @@ func (b *Builder) cluster(threshold float64) []*Cluster {
 func gapEnd(s []item, maxGap float64) int {
 	for i := 1; i < len(s); i++ {
 		if s[i].v1-s[i-1].v1 > maxGap {
+			return i
+		}
+	}
+	return len(s)
+}
+
+// recvGapEnd is gapEnd over receive sizes.
+func recvGapEnd(s []recvItem, maxGap float64) int {
+	for i := 1; i < len(s); i++ {
+		if s[i].byte2-s[i-1].byte2 > maxGap {
 			return i
 		}
 	}

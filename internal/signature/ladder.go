@@ -23,7 +23,8 @@ type Ladder struct {
 }
 
 // NewLadder validates the trace and prepares it for clustering (see
-// NewBuilder). The trace must not change while the Ladder is in use.
+// NewBuilder). The Ladder keeps no reference to the trace, so the trace
+// may be dropped once NewLadder returns.
 func NewLadder(tr *trace.Trace) (*Ladder, error) {
 	b, err := NewBuilder(tr)
 	if err != nil {

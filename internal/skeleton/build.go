@@ -216,11 +216,21 @@ func identity(op Op) opKey {
 }
 
 // clusterOp is a signature cluster converted to a skeleton operation,
-// with the dense index of the operation's identity.
+// with the dense index of the operation's identity. The operation is
+// boxed as a Node when the cluster is converted, and its leftover scaled
+// by K on first use: every occurrence in the program shares these
+// values. That is sound
+// because OpNode is a value type and nothing mutates a program's nodes
+// (rescaling and decoding build new ones).
 type clusterOp struct {
-	op  Op
-	dur float64
-	id  int
+	op   Op
+	dur  float64
+	id   int
+	node Node
+	// left is the leftover form, nil when scaling drops the operation;
+	// scaled reports whether left has been computed.
+	left   Node
+	scaled bool
 }
 
 // scaler applies the scaling procedure to the ranks of one signature. It
@@ -258,9 +268,21 @@ func (s *scaler) op(c *signature.Cluster) *clusterOp {
 		s.count = append(s.count, 0)
 		s.seen = append(s.seen, 0)
 	}
-	co := &clusterOp{op: op, dur: dur, id: id}
+	co := &clusterOp{op: op, dur: dur, id: id, node: OpNode{Op: op, Dur: dur}}
 	s.ops[c] = co
 	return co
+}
+
+// leftover returns the operation's parameters scaled down by K (step 3)
+// as a Node, or nil when the scale mode drops it.
+func (s *scaler) leftover(co *clusterOp) Node {
+	if !co.scaled {
+		if op, keep := scaleOpts(co.op, s.k, s.opts); keep {
+			co.left = OpNode{Op: op, Dur: co.dur / float64(s.k)}
+		}
+		co.scaled = true
+	}
+	return co.left
 }
 
 // scaleSeq applies the scaling procedure to one rank's signature sequence.
@@ -286,13 +308,13 @@ func (s *scaler) scaleSeq(seq []signature.Node) []Node {
 			switch {
 			case j < q*k && j%k == 0:
 				// Representative of a full group of K.
-				out = append(out, OpNode{Op: po.op, Dur: po.dur})
+				out = append(out, po.node)
 			case j < q*k:
 				// Absorbed into its group's representative.
 			default:
 				// Leftover: scale parameters down by K.
-				if op, keep := scaleOpts(po.op, k, s.opts); keep {
-					out = append(out, OpNode{Op: op, Dur: po.dur / float64(k)})
+				if n := s.leftover(po); n != nil {
+					out = append(out, n)
 				}
 			}
 		}
@@ -335,8 +357,7 @@ func (s *scaler) verbatim(seq []signature.Node) []Node {
 	for _, nd := range seq {
 		switch x := nd.(type) {
 		case signature.Leaf:
-			co := s.op(x.C)
-			out = append(out, OpNode{Op: co.op, Dur: co.dur})
+			out = append(out, s.op(x.C).node)
 		case *signature.Loop:
 			out = append(out, LoopNode{Count: x.Count, Body: s.verbatim(x.Body)})
 		}

@@ -3,6 +3,7 @@ package skeleton
 import (
 	"errors"
 	"math"
+	"math/bits"
 	"strings"
 	"testing"
 
@@ -425,5 +426,58 @@ func TestConsistentDetectsMismatches(t *testing.T) {
 		case tc.want != "" && err.Error() != tc.want:
 			t.Errorf("%s: error %q, want %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// unroll expands every loop of a signature sequence into its iterations.
+func unroll(seq []signature.Node) []signature.Node {
+	var out []signature.Node
+	for _, nd := range seq {
+		switch x := nd.(type) {
+		case signature.Leaf:
+			out = append(out, x)
+		case *signature.Loop:
+			for range x.Count {
+				out = append(out, unroll(x.Body)...)
+			}
+		}
+	}
+	return out
+}
+
+// TestBuildAllocsPerDistinctOp: building a skeleton boxes each distinct
+// operation once, not each occurrence. The signature is CG class S on 16
+// ranks at the ladder's top threshold with every loop unrolled (ratio
+// 1.0), so at K = 2 every
+// occurrence is either a group representative, absorbed or a scaled
+// leftover, and the program has no loops. The allocations stay within a
+// few per distinct operation plus a logarithmic number per rank for the
+// growing program slices.
+func TestBuildAllocsPerDistinctOp(t *testing.T) {
+	const ranks = 16
+	l, err := signature.NewLadder(nasTrace(t, "CG", ranks))
+	if err != nil {
+		t.Fatal(err)
+	}
+	folded := l.At(l.Len() - 1)
+	sig := *folded
+	sig.PerRank = make([][]signature.Node, ranks)
+	ops := 0
+	for r, seq := range folded.PerRank {
+		sig.PerRank[r] = unroll(seq)
+		ops += len(sig.PerRank[r])
+	}
+	if sig.Ratio = float64(sig.TraceEvents) / float64(sig.Len()); sig.Ratio != 1 {
+		t.Fatalf("unrolled signature has ratio %v, want 1", sig.Ratio)
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := Build(&sig, 2); err != nil {
+			t.Fatal(err)
+		}
+	})
+	bound := 4*len(sig.Clusters) + ranks*(4+bits.Len(uint(ops)))
+	t.Logf("%d ops, %d clusters: %.0f allocs, bound %d", ops, len(sig.Clusters), allocs, bound)
+	if allocs > float64(bound) {
+		t.Errorf("Build made %.0f allocations for %d operations of %d clusters, want at most %d", allocs, ops, len(sig.Clusters), bound)
 	}
 }

@@ -58,9 +58,9 @@ go test -run '^$' -bench 'BenchmarkAnalysis(LoopFree|Symexec|LoadCold)$|Benchmar
 reduce analysis "commgraph extract+match of a 200-iteration ring, unrolled and as a folded loop; cold load of internal/nas; orderflow summaries of internal/telemetry, and the orderflow rule over frozen copies of internal/telemetry and internal/stats"
 
 echo "==> campaign (count=$count)"
-go test -run '^$' -bench 'BenchmarkCampaign(Serial|Parallel|WarmCache)$' \
+go test -run '^$' -bench 'BenchmarkCampaign(Serial|Parallel|WarmCache|Retained)$' \
     -benchtime 1x -benchmem -count "$count" "$@" ./internal/campaign/ > "$raw/campaign.txt" || fail campaign
-reduce campaign "campaign PredictAll: CG+MG class A, 4 ranks, 5 scenarios, K in {8,16}, measured; serial, full worker pool, warm cache"
+reduce campaign "campaign PredictAll: CG+MG class A, 4 ranks, 5 scenarios, K in {8,16}, measured; serial, full worker pool, warm cache; retained-MB: heap kept by one engine after the 8 NAS apps at class S on 4/8/16 ranks, 5 scenarios, K in {2,4,8,16,32}"
 
 echo "==> critpath (count=$count)"
 go test -run '^$' -bench 'BenchmarkCritpath(Build|Analyze|WhatIf)$' \
